@@ -1,8 +1,10 @@
 //! The host-side snapshot capture protocol.
 
-use crate::meta::FameMeta;
+use crate::meta::{FameMeta, TraceMeta};
+use crate::transform::trace_mem_name;
 use serde::{Deserialize, Serialize};
-use strober_rtl::Width;
+use std::collections::HashMap;
+use strober_rtl::{MemId, NodeId, RegId, Width};
 use strober_sim::{SimError, Simulator};
 
 /// A fully assembled replayable RTL snapshot (§III-B of the paper): all
@@ -49,12 +51,89 @@ pub struct PendingSnapshot {
     pub mems: Vec<(String, Vec<u64>)>,
 }
 
-/// Executes the scan/trace protocol over a hub simulator and accounts the
-/// extra host cycles spent (the sampling overhead `T_rec` of §IV-E).
+/// Reads snapshots out of a hub simulator and accounts the host cycles the
+/// modelled scan readout costs (the sampling overhead `T_rec` of §IV-E).
+///
+/// The production path — [`read_state`](Self::read_state) then
+/// [`read_traces`](Self::read_traces) — reads registers, memories and
+/// trace rings straight from simulator state, as the paper's VPI-style
+/// loader does (§IV-C2), while charging exactly the cycles the on-fabric
+/// scan chains would take. [`scan_state`](Self::scan_state) and
+/// [`scan_traces`](Self::scan_traces) drive that scan protocol cycle by
+/// cycle; they are kept as the checked reference the direct read must
+/// match bit for bit.
 #[derive(Debug, Clone)]
 pub struct SnapshotController {
     meta: FameMeta,
     overhead_cycles: u64,
+    handles: Option<HubHandles>,
+}
+
+/// The hub's state elements behind one [`FameMeta`], resolved by name.
+#[derive(Debug, Clone)]
+struct HubHandles {
+    /// Address of the hub design the handles index into (clones of a
+    /// simulator share it), so a controller moved to another hub
+    /// re-resolves instead of reading foreign state.
+    design: usize,
+    cycle: NodeId,
+    /// Scan-chain registers with their readout masks, in chain order.
+    regs: Vec<(RegId, u64)>,
+    mems: Vec<MemId>,
+    traces_in: Vec<MemId>,
+    traces_out: Vec<MemId>,
+}
+
+impl HubHandles {
+    fn resolve(meta: &FameMeta, sim: &Simulator) -> Result<Self, SimError> {
+        let design = sim.design();
+        let unknown = |kind, name: &str| SimError::UnknownName {
+            kind,
+            name: name.to_owned(),
+        };
+        let regs_by_name: HashMap<&str, RegId> =
+            design.registers().map(|(id, r)| (r.name(), id)).collect();
+        let mems_by_name: HashMap<&str, (MemId, usize)> = design
+            .memories()
+            .map(|(id, m)| (m.name(), (id, m.depth())))
+            .collect();
+        let mem = |name: &str, depth: usize| match mems_by_name.get(name) {
+            None => Err(unknown("memory", name)),
+            Some(&(_, d)) if d != depth || d == 0 => Err(SimError::StateShapeMismatch {
+                what: "memory depth",
+            }),
+            Some(&(id, _)) => Ok(id),
+        };
+        let traces = |side: &str, metas: &[TraceMeta]| {
+            (0..metas.len())
+                .map(|i| mem(&trace_mem_name(side, i), meta.trace_depth))
+                .collect::<Result<Vec<_>, _>>()
+        };
+        Ok(HubHandles {
+            design: std::ptr::from_ref(design) as usize,
+            cycle: sim.resolve_output(&meta.control.cycle)?,
+            regs: meta
+                .scan_chain
+                .iter()
+                .map(|e| {
+                    let id = *regs_by_name
+                        .get(e.rtl_name.as_str())
+                        .ok_or_else(|| unknown("register", &e.rtl_name))?;
+                    let width = Width::new(e.width).map_err(|_| SimError::StateShapeMismatch {
+                        what: "scan-chain element width",
+                    })?;
+                    Ok((id, width.mask()))
+                })
+                .collect::<Result<_, SimError>>()?,
+            mems: meta
+                .mem_scans
+                .iter()
+                .map(|m| mem(&m.rtl_name, m.depth))
+                .collect::<Result<_, _>>()?,
+            traces_in: traces("in", &meta.traces_in)?,
+            traces_out: traces("out", &meta.traces_out)?,
+        })
+    }
 }
 
 impl SnapshotController {
@@ -63,6 +142,7 @@ impl SnapshotController {
         SnapshotController {
             meta: meta.clone(),
             overhead_cycles: 0,
+            handles: None,
         }
     }
 
@@ -71,8 +151,8 @@ impl SnapshotController {
         &self.meta
     }
 
-    /// Total hub cycles spent on snapshot capture so far (scan shifts,
-    /// memory streaming, trace readout strobes).
+    /// Total hub cycles charged for snapshot capture so far (scan shifts,
+    /// memory streaming, trace readout).
     pub fn overhead_cycles(&self) -> u64 {
         self.overhead_cycles
     }
@@ -96,13 +176,109 @@ impl SnapshotController {
         sim.peek_output(&self.meta.control.cycle)
     }
 
-    /// Captures register and memory state through the scan chains. The
-    /// target must already be stalled (`fire = 0`); it is left stalled.
+    /// The metadata with its hub handles for `sim`, resolved on first use
+    /// and again only when the controller meets a different hub design.
+    fn resolved(&mut self, sim: &Simulator) -> Result<(&FameMeta, &HubHandles), SimError> {
+        let design = std::ptr::from_ref(sim.design()) as usize;
+        if self.handles.as_ref().is_none_or(|h| h.design != design) {
+            self.handles = Some(HubHandles::resolve(&self.meta, sim)?);
+        }
+        Ok((&self.meta, self.handles.as_ref().expect("just resolved")))
+    }
+
+    /// Reads register and memory state straight from the hub simulator,
+    /// without stepping it: the values the scan chains would shift out,
+    /// since a stalled target (and a target between two steps) holds its
+    /// state. Call it at the capture point, before the measurement
+    /// window; the cycles the scan readout costs are charged by
+    /// [`read_traces`](Self::read_traces).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::UnknownName`] when the hub lacks a register,
+    /// memory or control port the metadata names, and
+    /// [`SimError::StateShapeMismatch`] when a memory's depth or a chain
+    /// element's width disagrees with it.
+    pub fn read_state(&mut self, sim: &mut Simulator) -> Result<PendingSnapshot, SimError> {
+        let (meta, h) = self.resolved(sim)?;
+        let cycle = sim.peek(h.cycle);
+        let regs = meta
+            .scan_chain
+            .iter()
+            .zip(&h.regs)
+            .map(|(e, &(id, mask))| (e.rtl_name.clone(), sim.reg_value(id) & mask))
+            .collect();
+        let mems = meta
+            .mem_scans
+            .iter()
+            .zip(&h.mems)
+            .map(|(m, &id)| {
+                let words = (0..m.depth).map(|a| sim.mem_value(id, a)).collect();
+                (m.rtl_name.clone(), words)
+            })
+            .collect();
+        Ok(PendingSnapshot { cycle, regs, mems })
+    }
+
+    /// Reads the I/O trace rings straight from the hub's trace memories
+    /// and assembles the snapshot, charging the whole capture's modelled
+    /// cost: [`FameMeta::snapshot_capture_cycles`] for the state readout
+    /// plus one host cycle per traced word.
+    ///
+    /// The traced window is the same as
+    /// [`scan_traces`](Self::scan_traces)'s: `[cycle − warmup, cycle +
+    /// replay_length)`, so exactly `replay_length` target cycles must have
+    /// fired since [`read_state`](Self::read_state).
+    ///
+    /// # Errors
+    ///
+    /// The same as [`read_state`](Self::read_state), plus a trace ring
+    /// missing or sized differently from `trace_depth`.
+    pub fn read_traces(
+        &mut self,
+        sim: &mut Simulator,
+        pending: PendingSnapshot,
+    ) -> Result<FameSnapshot, SimError> {
+        let (meta, h) = self.resolved(sim)?;
+        let window = u64::from(meta.replay_length + meta.warmup);
+        let charge = meta.snapshot_capture_cycles() + window;
+        let depth = meta.trace_depth as u64;
+        // Trace entry for target cycle t lives at index t mod depth.
+        let trace_start = pending.cycle.saturating_sub(u64::from(meta.warmup));
+        let read = |metas: &[TraceMeta], mems: &[MemId]| -> Vec<(String, Vec<u64>)> {
+            metas
+                .iter()
+                .zip(mems)
+                .map(|(t, &id)| {
+                    let words = (0..window)
+                        .map(|k| sim.mem_value(id, ((trace_start + k) % depth) as usize))
+                        .collect();
+                    (t.port.clone(), words)
+                })
+                .collect()
+        };
+        let inputs = read(&meta.traces_in, &h.traces_in);
+        let outputs = read(&meta.traces_out, &h.traces_out);
+        self.overhead_cycles += charge;
+        Ok(FameSnapshot {
+            cycle: pending.cycle,
+            regs: pending.regs,
+            mems: pending.mems,
+            inputs,
+            outputs,
+        })
+    }
+
+    /// Reference protocol: captures register and memory state through the
+    /// scan chains, stepping the hub once per shifted element and streamed
+    /// word. The target must already be stalled (`fire = 0`); it is left
+    /// stalled. [`read_state`](Self::read_state) must return the same
+    /// values.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] for a mismatched simulator.
-    pub fn begin_snapshot(&mut self, sim: &mut Simulator) -> Result<PendingSnapshot, SimError> {
+    pub fn scan_state(&mut self, sim: &mut Simulator) -> Result<PendingSnapshot, SimError> {
         // Resolve every control name once — the shift and stream loops
         // below run once per register and per memory word, so per-cycle
         // string hashing would dominate the scan cost on large targets.
@@ -181,20 +357,23 @@ impl SnapshotController {
         Ok(PendingSnapshot { cycle, regs, mems })
     }
 
-    /// Reads the I/O trace buffers and assembles the snapshot.
+    /// Reference protocol: reads the I/O trace buffers through the hub's
+    /// trace read port, one address poke per traced cycle, and assembles
+    /// the snapshot. [`read_traces`](Self::read_traces) must return the
+    /// same snapshot and charge the same cycles.
     ///
     /// The traced window is `[cycle − warmup, cycle + replay_length)`: the
     /// `warmup` prefix was recorded *before* the state scan (§IV-C3 — the
     /// prefix lets replay warm retimed datapaths by forcing recorded I/O
     /// before the architectural state is loaded), and exactly
     /// `replay_length` further target cycles must have fired since
-    /// [`SnapshotController::begin_snapshot`]. The target must be stalled
+    /// [`SnapshotController::scan_state`]. The target must be stalled
     /// again when this is called.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] for a mismatched simulator.
-    pub fn finish_snapshot(
+    pub fn scan_traces(
         &mut self,
         sim: &mut Simulator,
         pending: PendingSnapshot,
@@ -280,11 +459,13 @@ mod tests {
         ctx.finish().unwrap()
     }
 
-    #[test]
-    fn full_snapshot_protocol() {
-        let target = build();
+    /// Runs [`build`] for 20 cycles with `x = t`, captures a snapshot with
+    /// an 8-cycle window and returns it with the cycles charged and the
+    /// hub simulator's own cycle count — through the direct read, or
+    /// through the scan-protocol reference.
+    fn capture_at_20(direct: bool) -> (FameSnapshot, u64, u64) {
         let fame = transform(
-            &target,
+            &build(),
             &FameConfig {
                 replay_length: 8,
                 warmup: 0,
@@ -293,37 +474,48 @@ mod tests {
         .unwrap();
         let mut sim = Simulator::new(&fame.hub).unwrap();
         let mut ctl = SnapshotController::new(&fame.meta);
-
-        // Run 20 cycles with x = t.
         ctl.set_fire(&mut sim, true).unwrap();
         for t in 0..20u64 {
             sim.poke_by_name("x", t % 256).unwrap();
             sim.step();
         }
-        ctl.set_fire(&mut sim, false).unwrap();
         assert_eq!(ctl.target_cycle(&mut sim).unwrap(), 20);
-
-        let pending = ctl.begin_snapshot(&mut sim).unwrap();
-        assert_eq!(pending.cycle, 20);
-        // acc = sum of 0..19 = 190; wa = 20 mod 16 = 4.
-        let regs: std::collections::HashMap<_, _> = pending.regs.iter().cloned().collect();
-        assert_eq!(regs["acc"], 190);
-        assert_eq!(regs["wa"], 4);
-        assert_eq!(pending.mems[0].1.len(), 16);
-        // hist[3] was written at cycles 3 and 19 (wa wraps mod 16); the
-        // last write is acc before cycle 19 = Σ 0..18 = 171. hist[4] was
-        // written only at cycle 4: Σ 0..3 = 6.
-        assert_eq!(pending.mems[0].1[3], 171);
-        assert_eq!(pending.mems[0].1[4], 6);
-
-        // Run the trace window.
-        ctl.set_fire(&mut sim, true).unwrap();
+        let pending = if direct {
+            ctl.read_state(&mut sim).unwrap()
+        } else {
+            ctl.set_fire(&mut sim, false).unwrap();
+            let pending = ctl.scan_state(&mut sim).unwrap();
+            ctl.set_fire(&mut sim, true).unwrap();
+            pending
+        };
         for t in 20..28u64 {
             sim.poke_by_name("x", t % 256).unwrap();
             sim.step();
         }
-        ctl.set_fire(&mut sim, false).unwrap();
-        let snap = ctl.finish_snapshot(&mut sim, pending).unwrap();
+        let snap = if direct {
+            ctl.read_traces(&mut sim, pending).unwrap()
+        } else {
+            ctl.set_fire(&mut sim, false).unwrap();
+            ctl.scan_traces(&mut sim, pending).unwrap()
+        };
+        (snap, ctl.overhead_cycles(), sim.cycle())
+    }
+
+    #[test]
+    fn full_snapshot_protocol() {
+        let (snap, charged, hub_cycles) = capture_at_20(true);
+        assert_eq!(snap.cycle, 20);
+        // acc = sum of 0..19 = 190; wa = 20 mod 16 = 4.
+        let regs: std::collections::HashMap<_, _> = snap.regs.iter().cloned().collect();
+        assert_eq!(regs["acc"], 190);
+        assert_eq!(regs["wa"], 4);
+        assert_eq!(snap.mems[0].1.len(), 16);
+        // hist[3] was written at cycles 3 and 19 (wa wraps mod 16); the
+        // last write is acc before cycle 19 = Σ 0..18 = 171. hist[4] was
+        // written only at cycle 4: Σ 0..3 = 6.
+        assert_eq!(snap.mems[0].1[3], 171);
+        assert_eq!(snap.mems[0].1[4], 6);
+
         assert_eq!(snap.trace_len(), 8);
         // Input trace must be exactly x = 20..28.
         assert_eq!(snap.inputs[0].1, (20..28).collect::<Vec<u64>>());
@@ -335,13 +527,28 @@ mod tests {
             acc += t;
         }
         assert_eq!(snap.outputs[0].1, expect);
-        assert!(ctl.overhead_cycles() > 0);
+
+        // Charged: 1 capture + 2 shifts + 1 counter reset + 16 words, plus
+        // the 8 traced words. The direct read never steps a stalled hub.
+        assert_eq!(charged, 1 + 2 + 1 + 16 + 8);
+        assert_eq!(hub_cycles, 28);
+    }
+
+    #[test]
+    fn direct_read_matches_the_scan_reference() {
+        let (snap, charged, hub_cycles) = capture_at_20(true);
+        let (reference, ref_charged, ref_hub_cycles) = capture_at_20(false);
+        assert_eq!(snap, reference);
+        assert_eq!(charged, ref_charged);
+        // The reference really steps the hub for every state cycle it
+        // charges (trace readout only pokes the read address).
+        assert_eq!(ref_hub_cycles - hub_cycles, charged - 8);
     }
 
     #[test]
     fn snapshot_does_not_perturb_execution() {
         // Running with a snapshot in the middle must give the same target
-        // trajectory as running straight through.
+        // trajectory as running straight through, on either read path.
         let target = build();
         let fame = transform(
             &target,
@@ -352,7 +559,7 @@ mod tests {
         )
         .unwrap();
 
-        let run = |with_snapshot: bool| -> u64 {
+        let run = |capture: Option<bool>| -> u64 {
             let mut sim = Simulator::new(&fame.hub).unwrap();
             let mut ctl = SnapshotController::new(&fame.meta);
             ctl.set_fire(&mut sim, true).unwrap();
@@ -360,10 +567,16 @@ mod tests {
                 sim.poke_by_name("x", t).unwrap();
                 sim.step();
             }
-            if with_snapshot {
-                ctl.set_fire(&mut sim, false).unwrap();
-                let _pending = ctl.begin_snapshot(&mut sim).unwrap();
-                ctl.set_fire(&mut sim, true).unwrap();
+            match capture {
+                Some(true) => {
+                    ctl.read_state(&mut sim).unwrap();
+                }
+                Some(false) => {
+                    ctl.set_fire(&mut sim, false).unwrap();
+                    ctl.scan_state(&mut sim).unwrap();
+                    ctl.set_fire(&mut sim, true).unwrap();
+                }
+                None => {}
             }
             for t in 10..30u64 {
                 sim.poke_by_name("x", t).unwrap();
@@ -372,18 +585,20 @@ mod tests {
             sim.peek_output("sum").unwrap()
         };
 
-        assert_eq!(run(false), run(true));
+        assert_eq!(run(None), run(Some(true)));
+        assert_eq!(run(None), run(Some(false)));
     }
 
     #[test]
     fn wrapping_trace_window_is_reassembled_correctly() {
-        // Capture at a cycle that makes the ring buffer wrap.
+        // Capture at a cycle that makes the ring buffer wrap, with a
+        // warmup prefix recorded before the capture point.
         let target = build();
         let fame = transform(
             &target,
             &FameConfig {
-                replay_length: 8,
-                warmup: 0,
+                replay_length: 6,
+                warmup: 2,
             },
         )
         .unwrap();
@@ -394,16 +609,63 @@ mod tests {
             sim.poke_by_name("x", t).unwrap();
             sim.step();
         }
-        ctl.set_fire(&mut sim, false).unwrap();
-        let pending = ctl.begin_snapshot(&mut sim).unwrap();
-        ctl.set_fire(&mut sim, true).unwrap();
-        for t in 13..21u64 {
+        let pending = ctl.read_state(&mut sim).unwrap();
+        for t in 13..19u64 {
             sim.poke_by_name("x", t).unwrap();
             sim.step();
         }
-        ctl.set_fire(&mut sim, false).unwrap();
-        let snap = ctl.finish_snapshot(&mut sim, pending).unwrap();
-        assert_eq!(snap.inputs[0].1, (13..21).collect::<Vec<u64>>());
+        let snap = ctl.read_traces(&mut sim, pending).unwrap();
+        assert_eq!(snap.inputs[0].1, (11..19).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn mismatched_metadata_is_an_error_not_a_panic() {
+        let cfg = FameConfig {
+            replay_length: 8,
+            warmup: 0,
+        };
+        let fame = transform(&build(), &cfg).unwrap();
+        let mut sim = Simulator::new(&fame.hub).unwrap();
+        let pending = SnapshotController::new(&fame.meta)
+            .read_state(&mut sim)
+            .unwrap();
+
+        // Another design's metadata names registers this hub lacks.
+        let ctx = Ctx::new("other");
+        let count = ctx.reg("count", w(8), 0);
+        count.set(&count.out().add_lit(1));
+        ctx.output("value", &count.out());
+        let other = transform(&ctx.finish().unwrap(), &cfg).unwrap();
+        let mut ctl = SnapshotController::new(&other.meta);
+        assert!(matches!(
+            ctl.read_state(&mut sim),
+            Err(SimError::UnknownName {
+                kind: "register",
+                ..
+            })
+        ));
+
+        let mismatch = |edit: fn(&mut FameMeta)| {
+            let mut meta = fame.meta.clone();
+            edit(&mut meta);
+            SnapshotController::new(&meta).read_traces(&mut sim.clone(), pending.clone())
+        };
+        assert!(matches!(
+            mismatch(|m| m.mem_scans[0].depth = 17),
+            Err(SimError::StateShapeMismatch { .. })
+        ));
+        assert!(matches!(
+            mismatch(|m| m.trace_depth = 16),
+            Err(SimError::StateShapeMismatch { .. })
+        ));
+        assert!(matches!(
+            mismatch(|m| m.traces_in.push(m.traces_out[0].clone())),
+            Err(SimError::UnknownName { kind: "memory", .. })
+        ));
+        assert!(matches!(
+            mismatch(|m| m.scan_chain[0].width = 0),
+            Err(SimError::StateShapeMismatch { .. })
+        ));
     }
 }
 

@@ -24,8 +24,14 @@
 //!   the "simulation metadata dump" of Fig. 4, consumed by the host
 //!   driver.
 //!
-//! [`SnapshotController`] implements the host-side capture protocol over a
-//! `strober-sim` simulator of the hub and produces [`FameSnapshot`]s.
+//! [`SnapshotController`] reads [`FameSnapshot`]s out of a `strober-sim`
+//! simulator of the hub. The production path reads register, memory and
+//! trace-ring state straight from the simulator — the VPI-style loader of
+//! §IV-C2 run in reverse — while charging the host cycles the on-fabric
+//! scan chains would take, so the modelled `T_rec` is unchanged. The
+//! cycle-accurate scan protocol (capture strobe, shifts, memory
+//! streaming, trace-address pokes) stays as the checked reference the
+//! direct read must match bit for bit.
 //!
 //! # Examples
 //!
@@ -44,7 +50,7 @@
 //! ctx.output("value", &count.out());
 //! let target = ctx.finish()?;
 //!
-//! let fame = transform(&target, &FameConfig::default())?;
+//! let fame = transform(&target, &FameConfig { replay_length: 4, warmup: 0 })?;
 //! let mut sim = Simulator::new(&fame.hub)?;
 //! let mut ctl = SnapshotController::new(&fame.meta);
 //!
@@ -52,11 +58,19 @@
 //! ctl.set_fire(&mut sim, true)?;
 //! sim.step_n(10);
 //!
-//! // Stall and capture.
-//! ctl.set_fire(&mut sim, false)?;
-//! let pending = ctl.begin_snapshot(&mut sim)?;
+//! // Read the state straight from the hub: no hub cycles pass...
+//! let pending = ctl.read_state(&mut sim)?;
 //! assert_eq!(pending.cycle, 10);
 //! assert_eq!(pending.regs[0].1, 10); // the counter's value
+//! assert_eq!(sim.cycle(), 10);
+//!
+//! // ...run the measurement window, then read the I/O trace rings.
+//! sim.step_n(4);
+//! let snap = ctl.read_traces(&mut sim, pending)?;
+//! assert_eq!(snap.outputs[0].1, vec![10, 11, 12, 13]);
+//! // The modelled scan readout is still charged: 1 capture strobe +
+//! // 1 shift, plus 4 traced words.
+//! assert_eq!(ctl.overhead_cycles(), 1 + 1 + 4);
 //! # Ok(())
 //! # }
 //! ```

@@ -108,15 +108,22 @@ impl FameMeta {
         serde_json::from_str(s)
     }
 
-    /// Number of hub cycles one full snapshot capture costs (scan chain
-    /// shifts plus memory streaming plus capture strobes) — the `T_rec`
-    /// term of the §IV-E performance model, in cycles.
+    /// Number of hub cycles the state readout of one snapshot costs — the
+    /// `T_rec` term of the §IV-E performance model, in cycles: one capture
+    /// strobe, one shift per register-chain element and, when the design
+    /// has memories, one counter-reset cycle plus one cycle per word of the
+    /// deepest memory (every memory streams in parallel through its own
+    /// borrowed read port). A full capture adds `warmup + replay_length`
+    /// trace-readout cycles on top.
     pub fn snapshot_capture_cycles(&self) -> u64 {
         let regs = self.scan_chain.len() as u64;
-        let mem_words: u64 = self.mem_scans.iter().map(|m| m.depth as u64).sum();
-        // 1 capture strobe + one shift per chain element + 1 counter reset
-        // + one cycle per streamed memory word.
-        1 + regs + 1 + mem_words
+        let mems = self
+            .mem_scans
+            .iter()
+            .map(|m| 1 + m.depth as u64)
+            .max()
+            .unwrap_or(0);
+        1 + regs + mems
     }
 }
 
@@ -167,8 +174,19 @@ mod tests {
 
     #[test]
     fn capture_cycles_counts_chain_and_mems() {
-        let meta = sample();
+        let mut meta = sample();
         // 1 capture + 1 reg shift + 1 reset + 16 words = 19.
         assert_eq!(meta.snapshot_capture_cycles(), 19);
+        // Memories stream in parallel: a shallower second one is free.
+        meta.mem_scans.push(MemScanMeta {
+            rtl_name: "rf".to_owned(),
+            width: 32,
+            depth: 8,
+            out_port: "fame/mem_scan_out_1".to_owned(),
+        });
+        assert_eq!(meta.snapshot_capture_cycles(), 19);
+        // No memories, no counter reset: 1 capture + 1 reg shift.
+        meta.mem_scans.clear();
+        assert_eq!(meta.snapshot_capture_cycles(), 2);
     }
 }

@@ -25,6 +25,13 @@ impl Default for FameConfig {
     }
 }
 
+/// The hub memory holding the `i`-th trace ring of one `side` (`"in"`
+/// or `"out"`). The direct snapshot read resolves rings by this name, so
+/// it is not part of the serialized [`FameMeta`].
+pub(crate) fn trace_mem_name(side: &str, i: usize) -> String {
+    format!("fame/trace/{side}_{i}")
+}
+
 /// The transform's output: the hub design and its metadata.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize, serde::Blob)]
 pub struct FameResult {
@@ -206,7 +213,7 @@ pub fn transform(target: &Design, config: &FameConfig) -> Result<FameResult, Rtl
 
     let mut traces_in = Vec::with_capacity(orig_inputs.len());
     for (i, (node, name, width)) in orig_inputs.iter().enumerate() {
-        let mem = d.mem(format!("fame/trace/in_{i}"), *width, trace_depth, vec![])?;
+        let mem = d.mem(trace_mem_name("in", i), *width, trace_depth, vec![])?;
         d.mem_write(mem, wq, *node, fire)?;
         let rd = d.mem_read(mem, trace_raddr)?;
         let out_port = format!("fame/trace_in_{i}");
@@ -219,7 +226,7 @@ pub fn transform(target: &Design, config: &FameConfig) -> Result<FameResult, Rtl
     }
     let mut traces_out = Vec::with_capacity(orig_outputs.len());
     for (i, (name, node, width)) in orig_outputs.iter().enumerate() {
-        let mem = d.mem(format!("fame/trace/out_{i}"), *width, trace_depth, vec![])?;
+        let mem = d.mem(trace_mem_name("out", i), *width, trace_depth, vec![])?;
         d.mem_write(mem, wq, *node, fire)?;
         let rd = d.mem_read(mem, trace_raddr)?;
         let out_port = format!("fame/trace_out_{i}");

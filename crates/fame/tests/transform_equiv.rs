@@ -122,7 +122,7 @@ fn snapshot_state_restores_exactly_into_a_fresh_target() {
             hub.step();
         }
         ctl.set_fire(&mut hub, false).unwrap();
-        let pending = ctl.begin_snapshot(&mut hub).unwrap();
+        let pending = ctl.read_state(&mut hub).unwrap();
 
         // Rebuild a bare target at the snapshot point.
         let mut target = Simulator::new(&design).expect("target");

@@ -11,6 +11,7 @@
 //! | `tape-par@T`| optimized op-tape on T settle workers    | `naive`          |
 //! | `tape-jit`  | rustc-compiled native settle dylib       | `naive`          |
 //! | `fame`      | FAME1 hub with `fire` held high          | `naive`          |
+//! | `scan`      | direct-read snapshot capture of the hub  | scan-protocol capture on a clone |
 //! | `gate`      | scalar gate-level sim of the netlist     | `naive`/`tape`   |
 //! | `batch@L`   | L-lane bit-parallel gate-level sim       | `gate`           |
 //! | `flow`      | sample → snapshot → replay round trip    | itself, 1 vs 64 lanes |
@@ -24,12 +25,13 @@
 
 use crate::genome::{stimulus, Genome};
 use strober::{StroberConfig, StroberFlow};
-use strober_fame::{transform, FameConfig};
+use strober_fame::{transform, FameConfig, FameMeta, SnapshotController};
 use strober_gates::{CellKind, CellLibrary, Gate, Netlist};
 use strober_gatesim::{ActivityReport, BatchSim, GateSim};
 use strober_platform::{HostModel, OutputView, TargetInput};
 use strober_power::PowerAnalyzer;
-use strober_sim::{NaiveInterpreter, Simulator, TapeOptions};
+use strober_rtl::{Design, Width};
+use strober_sim::{NaiveInterpreter, SimError, Simulator, TapeOptions};
 use strober_synth::{synthesize, SynthOptions};
 
 /// A deliberately-introduced netlist bug, applied after synthesis to
@@ -491,6 +493,9 @@ pub fn check(genome: &Genome, cfg: &OracleConfig) -> Result<(), Divergence> {
         }
     }
 
+    // --- Oracle: direct-read snapshot capture vs the scan protocol. ---
+    check_scan(genome, &design, &ports)?;
+
     // --- Synthesize (optionally with the injected bug). ---
     let synth =
         synthesize(&design, &SynthOptions::default()).map_err(|e| err("synth", e.to_string()))?;
@@ -657,6 +662,130 @@ fn compare_rtl(
         });
     }
     Ok(())
+}
+
+/// Trace geometries of the `scan` lane: a warmup prefix with a window
+/// that fills the whole 8-entry ring, and a non-power-of-two window.
+const SCAN_WINDOWS: [FameConfig; 2] = [
+    FameConfig {
+        replay_length: 5,
+        warmup: 3,
+    },
+    FameConfig {
+        replay_length: 6,
+        warmup: 0,
+    },
+];
+
+/// The genome's design plus the state shapes the `scan` lane must cover
+/// whatever the genome drew: a free-running 64-bit register feeding a
+/// write-only RAM (no read port, so the transform adds the scanner's) of
+/// non-power-of-two depth.
+fn with_scan_extras(design: &Design) -> Result<Design, String> {
+    let mut d = design.clone();
+    let e = |e: strober_rtl::RtlError| e.to_string();
+    let ctr = d
+        .reg("scan/ctr64", Width::W64, 0x8000_0000_0000_0001)
+        .map_err(e)?;
+    let q = d.reg_out(ctr);
+    let step = d.constant(0x9E37_79B9_7F4A_7C15, Width::W64);
+    let next = d.add(q, step).map_err(e)?;
+    d.connect_reg(ctr, next, None).map_err(e)?;
+    let ram = d.mem("scan/wo_ram", Width::W64, 5, vec![]).map_err(e)?;
+    let aw = d.memory(ram).addr_width().bits();
+    let addr = d.slice(q, 63, 64 - aw).map_err(e)?;
+    let en = d.slice(q, 0, 0).map_err(e)?;
+    d.mem_write(ram, addr, q, en).map_err(e)?;
+    Ok(d)
+}
+
+/// The `scan` lane: a direct-read capture and the cycle-accurate
+/// scan-protocol capture must agree on every geometry of
+/// [`SCAN_WINDOWS`].
+fn check_scan(genome: &Genome, design: &Design, ports: &[(String, u64)]) -> Result<(), Divergence> {
+    let err = |detail: String| Divergence::Error {
+        oracle: "scan".to_owned(),
+        detail,
+    };
+    let design = with_scan_extras(design).map_err(err)?;
+    for config in &SCAN_WINDOWS {
+        let fame = transform(&design, config).map_err(|e| err(e.to_string()))?;
+        let hub = Simulator::new(&fame.hub).map_err(|e| err(e.to_string()))?;
+        let found =
+            scan_mismatch(genome, &fame.meta, hub, ports).map_err(|e| err(e.to_string()))?;
+        if let Some(detail) = found {
+            return Err(Divergence::State {
+                oracle: "scan".to_owned(),
+                reference: "scan-protocol".to_owned(),
+                detail: format!(
+                    "L = {}, warmup = {}: {detail}",
+                    config.replay_length, config.warmup
+                ),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Runs `hub` on stimulus stream A until its trace ring has wrapped at
+/// least twice, stopping where the traced window starts two entries
+/// before the ring's end, so the window wraps too. Captures there by
+/// direct read and, on a clone, through the scan protocol, and describes
+/// the first disagreement: the snapshot, the charged cycles, or a hub
+/// stepped for more than the target cycles it fired.
+fn scan_mismatch(
+    genome: &Genome,
+    meta: &FameMeta,
+    mut hub: Simulator,
+    ports: &[(String, u64)],
+) -> Result<Option<String>, SimError> {
+    let stream = lane_stream(genome, 0);
+    let drive = |hub: &mut Simulator, cycle: u64| -> Result<(), SimError> {
+        for (i, (name, mask)) in ports.iter().enumerate() {
+            hub.poke_by_name(name, stimulus(stream, i, cycle) & mask)?;
+        }
+        hub.step();
+        Ok(())
+    };
+    let mut direct = SnapshotController::new(meta);
+    let mut scan = SnapshotController::new(meta);
+    direct.set_fire(&mut hub, true)?;
+    let depth = meta.trace_depth as u64;
+    let stall = depth * (u64::from(genome.cycles) / depth + 3) + u64::from(meta.warmup) - 2;
+    for cycle in 0..stall {
+        drive(&mut hub, cycle)?;
+    }
+    let mut reference = hub.clone();
+
+    let pending = direct.read_state(&mut hub)?;
+    scan.set_fire(&mut reference, false)?;
+    let ref_pending = scan.scan_state(&mut reference)?;
+    scan.set_fire(&mut reference, true)?;
+    let fired = stall + u64::from(meta.replay_length);
+    for cycle in stall..fired {
+        drive(&mut hub, cycle)?;
+        drive(&mut reference, cycle)?;
+    }
+    let snap = direct.read_traces(&mut hub, pending)?;
+    scan.set_fire(&mut reference, false)?;
+    let ref_snap = scan.scan_traces(&mut reference, ref_pending)?;
+
+    Ok(if snap != ref_snap {
+        Some(format!("snapshots differ: {snap:?} vs {ref_snap:?}"))
+    } else if direct.overhead_cycles() != scan.overhead_cycles() {
+        Some(format!(
+            "charged {} cycles, the scan protocol took {}",
+            direct.overhead_cycles(),
+            scan.overhead_cycles()
+        ))
+    } else if hub.cycle() != fired {
+        Some(format!(
+            "hub stepped {} cycles for {fired} target cycles",
+            hub.cycle()
+        ))
+    } else {
+        None
+    })
 }
 
 /// The host model that drives the flow oracle: replays the genome's

@@ -1,7 +1,7 @@
 //! The host driver loop and its cost model.
 
 use std::collections::HashMap;
-use strober_fame::{FameResult, FameSnapshot, SnapshotController};
+use strober_fame::{FameResult, FameSnapshot, PendingSnapshot, SnapshotController};
 use strober_rtl::{NodeId, PortId};
 use strober_sim::{SimError, Simulator, TapeOptions};
 
@@ -244,6 +244,13 @@ pub struct PlatformStats {
     pub effective_hz: f64,
 }
 
+/// One half of a capture: reads a snapshot's state out of the hub.
+type StateRead = fn(&mut SnapshotController, &mut Simulator) -> Result<PendingSnapshot, SimError>;
+
+/// The other half: reads the I/O traces and assembles the snapshot.
+type TraceRead =
+    fn(&mut SnapshotController, &mut Simulator, PendingSnapshot) -> Result<FameSnapshot, SimError>;
+
 /// The simulated Zynq host: drives a FAME1 hub, services target I/O
 /// through a [`HostModel`], captures snapshots, and maintains the §IV-E
 /// cost model.
@@ -445,8 +452,15 @@ impl ZynqHost {
 
     /// Captures a complete replayable snapshot: runs the `warmup` prefix
     /// (recorded in the trace so replay can recover retimed datapaths,
-    /// §IV-C3), stalls and scans out state, runs the `replay_length`
-    /// measurement window, reads the traces, and resumes.
+    /// §IV-C3), reads the register and memory state, runs the
+    /// `replay_length` measurement window and reads the I/O traces.
+    ///
+    /// State and traces are read straight from the hub simulator (see
+    /// [`SnapshotController::read_state`]); the hub only ever steps for
+    /// the `warmup + replay_length` target cycles. The scan readout the
+    /// platform would spend with the target stalled is still charged to
+    /// [`PlatformStats::scan_overhead_cycles`] cycle for cycle, so the
+    /// cost model is that of the on-fabric scan chains.
     ///
     /// # Errors
     ///
@@ -455,21 +469,64 @@ impl ZynqHost {
         &mut self,
         model: &mut dyn HostModel,
     ) -> Result<FameSnapshot, SimError> {
+        self.capture_with(
+            model,
+            SnapshotController::read_state,
+            SnapshotController::read_traces,
+        )
+    }
+
+    /// [`capture_snapshot`](Self::capture_snapshot) through the
+    /// cycle-accurate scan protocol instead: the target stalls while the
+    /// hub shifts the chains out and pokes the trace read address cycle
+    /// by cycle. This is the checked reference the direct read must match
+    /// — same snapshot, same charged cycles — for golden tests; nothing
+    /// in the estimate flow calls it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError`] if the hub does not match the metadata.
+    #[doc(hidden)]
+    pub fn capture_snapshot_by_scan(
+        &mut self,
+        model: &mut dyn HostModel,
+    ) -> Result<FameSnapshot, SimError> {
+        self.capture_with(
+            model,
+            |ctl, sim| {
+                ctl.set_fire(sim, false)?;
+                let pending = ctl.scan_state(sim)?;
+                ctl.set_fire(sim, true)?;
+                Ok(pending)
+            },
+            |ctl, sim, pending| {
+                ctl.set_fire(sim, false)?;
+                let snap = ctl.scan_traces(sim, pending)?;
+                ctl.set_fire(sim, true)?;
+                Ok(snap)
+            },
+        )
+    }
+
+    /// The capture sequence shared by both read paths: warmup, state,
+    /// measurement window, traces.
+    fn capture_with(
+        &mut self,
+        model: &mut dyn HostModel,
+        read_state: StateRead,
+        read_traces: TraceRead,
+    ) -> Result<FameSnapshot, SimError> {
         let _span = strober_probe::span("strober.platform.capture_snapshot");
         let scan_before = self.ctl.overhead_cycles();
         let warmup = self.trace_window() - self.replay_length();
         for _ in 0..warmup {
             self.step_target(model)?;
         }
-        self.ctl.set_fire(&mut self.sim, false)?;
-        let pending = self.ctl.begin_snapshot(&mut self.sim)?;
-        self.ctl.set_fire(&mut self.sim, true)?;
+        let pending = read_state(&mut self.ctl, &mut self.sim)?;
         for _ in 0..self.replay_length() {
             self.step_target(model)?;
         }
-        self.ctl.set_fire(&mut self.sim, false)?;
-        let snap = self.ctl.finish_snapshot(&mut self.sim, pending)?;
-        self.ctl.set_fire(&mut self.sim, true)?;
+        let snap = read_traces(&mut self.ctl, &mut self.sim, pending)?;
         self.records += 1;
         strober_probe::counter_add("strober.platform.records", 1);
         strober_probe::counter_add(
@@ -477,6 +534,11 @@ impl ZynqHost {
             self.ctl.overhead_cycles() - scan_before,
         );
         Ok(snap)
+    }
+
+    /// The hub simulator this host drives.
+    pub fn sim(&self) -> &Simulator {
+        &self.sim
     }
 
     /// Reads a target output by name (for checking workload completion,
@@ -596,10 +658,57 @@ mod tests {
         // The trace window advanced the target.
         assert_eq!(host.stats().target_cycles, 28);
         assert_eq!(host.stats().records, 1);
-        assert!(host.stats().scan_overhead_cycles > 0);
+        // 1 capture strobe + 1 chain shift (no memories, so no counter
+        // reset) + 8 traced words, while the hub itself only stepped the
+        // target.
+        assert_eq!(host.stats().scan_overhead_cycles, 1 + 1 + 8);
+        assert_eq!(host.sim().cycle(), 28);
         // Execution continues seamlessly.
         host.run(&mut model, 10).unwrap();
         assert_eq!(host.stats().target_cycles, 38);
+    }
+
+    #[test]
+    fn direct_capture_matches_the_scan_reference() {
+        let capture = |by_scan: bool| {
+            let mut host = ZynqHost::new(&fame(), PlatformConfig::default()).unwrap();
+            let mut model = Echo {
+                last: 0,
+                limit: u64::MAX,
+            };
+            host.run(&mut model, 20).unwrap();
+            let snap = if by_scan {
+                host.capture_snapshot_by_scan(&mut model).unwrap()
+            } else {
+                host.capture_snapshot(&mut model).unwrap()
+            };
+            host.run(&mut model, 10).unwrap();
+            (snap, host.stats(), host.peek_output("value").unwrap())
+        };
+        assert_eq!(capture(false), capture(true));
+    }
+
+    #[test]
+    fn capture_with_another_designs_metadata_is_an_error() {
+        let ctx = Ctx::new("other");
+        let count = ctx.reg("count", Width::new(8).unwrap(), 0);
+        count.set(&count.out().add_lit(1));
+        ctx.output("value", &count.out());
+        let other = transform(&ctx.finish().unwrap(), &FameConfig::default()).unwrap();
+        let hub = Simulator::new(&fame().hub).unwrap();
+        let mut host = ZynqHost::with_sim(&other, PlatformConfig::default(), hub).unwrap();
+        struct Idle;
+        impl HostModel for Idle {
+            fn tick(&mut self, _cycle: u64, _io: &mut OutputView<'_>) {}
+        }
+        host.run(&mut Idle, 5).unwrap();
+        assert!(matches!(
+            host.capture_snapshot(&mut Idle),
+            Err(SimError::UnknownName {
+                kind: "register",
+                ..
+            })
+        ));
     }
 
     #[test]
