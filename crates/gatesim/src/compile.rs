@@ -149,6 +149,18 @@ impl Tape {
             net_count: netlist.net_count(),
         })
     }
+
+    /// The index of flip-flop instance `name` in tape order — the key the
+    /// snapshot loaders take, resolved once instead of per load.
+    pub fn dff_index(&self, name: &str) -> Option<usize> {
+        self.dff_by_name.get(name).copied()
+    }
+
+    /// The index of SRAM macro instance `name` in [`Netlist::srams`]
+    /// order — the key the snapshot loaders take.
+    pub fn sram_index(&self, name: &str) -> Option<usize> {
+        self.sram_by_name.get(name).copied()
+    }
 }
 
 /// Groups `name[i]` bit names back into word ports.

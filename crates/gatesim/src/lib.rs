@@ -25,8 +25,9 @@
 //! * [`GateSim`] — scalar reference engine, one replay at a time.
 //! * [`BatchSim`] — bit-parallel engine packing up to 64 independent
 //!   replays into the bit-lanes of a `u64` per net, with lane-wise SRAM
-//!   state and per-lane activity counting. Bit-identical to 64 scalar
-//!   runs, at a fraction of the cost.
+//!   state served through bit-matrix transposes and bit-sliced per-lane
+//!   toggle counters. Bit-identical to 64 scalar runs, at a fraction of
+//!   the cost.
 //!
 //! # Examples
 //!

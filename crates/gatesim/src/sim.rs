@@ -389,8 +389,7 @@ impl GateSim {
         }
     }
 
-    /// Sets a flip-flop's current value by instance name (the snapshot
-    /// loading primitive; see [`crate::VpiLoader`]).
+    /// Sets a flip-flop's current value by instance name.
     ///
     /// # Errors
     ///
@@ -404,9 +403,45 @@ impl GateSim {
                 kind: "flip-flop",
                 name: name.to_owned(),
             })?;
-        let (_, q) = self.tape.dffs[idx];
+        self.load_dff(idx, value)
+    }
+
+    /// Sets flip-flop `dff` (its index in [`Tape::dff_index`] order) — the
+    /// index-keyed snapshot loading primitive behind [`crate::VpiLoader`].
+    pub(crate) fn load_dff(&mut self, dff: usize, value: bool) -> Result<(), GateSimError> {
+        let &(_, q) = self
+            .tape
+            .dffs
+            .get(dff)
+            .ok_or_else(|| GateSimError::UnknownName {
+                kind: "flip-flop",
+                name: format!("#{dff}"),
+            })?;
         self.values[q as usize] = value;
         self.prev_values[q as usize] = value;
+        self.dirty = true;
+        Ok(())
+    }
+
+    /// Copies a memory image into SRAM macro `sram` (its index in
+    /// [`Tape::sram_index`] order), from address 0.
+    pub(crate) fn load_sram(&mut self, sram: usize, words: &[u64]) -> Result<(), GateSimError> {
+        let s = self
+            .netlist
+            .srams()
+            .get(sram)
+            .ok_or_else(|| GateSimError::UnknownName {
+                kind: "SRAM macro",
+                name: format!("#{sram}"),
+            })?;
+        let contents = &mut self.srams[sram].contents;
+        if words.len() > contents.len() {
+            return Err(GateSimError::AddressOutOfRange {
+                sram: s.name.clone(),
+                addr: contents.len(),
+            });
+        }
+        contents[..words.len()].copy_from_slice(words);
         self.dirty = true;
         Ok(())
     }

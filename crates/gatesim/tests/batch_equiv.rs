@@ -15,7 +15,8 @@ use strober_synth::{synthesize, SynthOptions};
 /// Runs `lanes` scalar sims and one batched sim over identical per-lane
 /// random stimulus, checking every output on every cycle and the full
 /// activity report at the end. `reset_at` exercises the measurement-window
-/// boundary (`reset_activity`) mid-run on both engines.
+/// boundary (`reset_activity`) mid-run on both engines. Input ports named
+/// `hold_*` get one random value per lane on the first cycle and keep it.
 fn check_batch_equiv(design: &Design, lanes: usize, cycles: u64, seed: u64, reset_at: Option<u64>) {
     let netlist = synthesize(design, &SynthOptions::default())
         .expect("synthesis must succeed")
@@ -38,6 +39,9 @@ fn check_batch_equiv(design: &Design, lanes: usize, cycles: u64, seed: u64, rese
     let mut lane_vals = vec![0u64; lanes];
     for cycle in 0..cycles {
         for (name, mask) in &ports {
+            if cycle > 0 && name.starts_with("hold_") {
+                continue;
+            }
             for lane in 0..lanes {
                 lane_vals[lane] = rngs[lane].gen::<u64>() & mask;
                 scalars[lane].poke_port(name, lane_vals[lane]).unwrap();
@@ -69,6 +73,7 @@ fn check_batch_equiv(design: &Design, lanes: usize, cycles: u64, seed: u64, rese
         batch.step();
     }
 
+    let all = batch.activities();
     for (lane, scalar) in scalars.iter_mut().enumerate() {
         let want = scalar.activity();
         let got = batch.activity_lane(lane).unwrap();
@@ -76,6 +81,7 @@ fn check_batch_equiv(design: &Design, lanes: usize, cycles: u64, seed: u64, rese
             want, got,
             "seed {seed}: lane {lane} activity diverged (toggle or SRAM access counts)"
         );
+        assert_eq!(want, all[lane], "seed {seed}: lane {lane} of activities()");
     }
 }
 
@@ -146,4 +152,59 @@ fn extreme_widths_match() {
     ctx.output("y7", &(&x7 + &r63.out().bits(6, 0)));
     let design = ctx.finish().unwrap();
     check_batch_equiv(&design, 64, 60, 9, None);
+}
+
+#[test]
+fn sram_port_edge_cases_match() {
+    // One macro with two read and two write ports: 64-bit words, a
+    // non-power-of-two depth that 5-bit addresses overrun on both reads
+    // and writes, a 2-bit write port that often hits the same address as
+    // the other port (and as other lanes) in the same cycle, and a read
+    // port whose address is held across the mid-run window reset.
+    let ctx = Ctx::new("sram_edges");
+    let w64 = Width::new(64).unwrap();
+    let w5 = Width::new(5).unwrap();
+    let m = ctx.mem("m", w64, 20);
+    let ra = ctx.input("ra", w5);
+    let held = ctx.input("hold_ra", w5);
+    let wa0 = ctx.input("wa0", w5);
+    let wa1 = ctx.input("wa1", Width::new(2).unwrap()).zext(w5);
+    let d0 = ctx.input("d0", w64);
+    let d1 = ctx.input("d1", w64);
+    let we0 = ctx.input("we0", Width::BIT);
+    let we1 = ctx.input("we1", Width::BIT);
+    ctx.output("q0", &m.read(&ra));
+    ctx.output("q1", &m.read(&held));
+    m.write(&wa0, &d0, &we0);
+    m.write(&wa1, &d1, &we1);
+    let design = ctx.finish().unwrap();
+    let netlist = synthesize(&design, &SynthOptions::default())
+        .unwrap()
+        .netlist;
+    let ports: Vec<(usize, usize, u32)> = netlist
+        .srams()
+        .iter()
+        .map(|s| (s.read_ports.len(), s.write_ports.len(), s.width))
+        .collect();
+    assert_eq!(ports, [(2, 2, 64)], "one 2R2W macro of 64-bit words");
+    for lanes in [2, 64] {
+        check_batch_equiv(&design, lanes, 120, 21, Some(60));
+    }
+}
+
+#[test]
+fn toggle_counts_match_past_the_plane_capacity() {
+    // Every lane's counter bit 0 toggles every cycle, so counts pass
+    // 65,535 and the packed engine's counter planes must spill into
+    // per-lane counters at least once.
+    let ctx = Ctx::new("toggler");
+    let count = ctx.reg("state", Width::new(3).unwrap(), 0);
+    count.set(&count.out().add_lit(1));
+    let x = ctx.input("x", Width::BIT);
+    ctx.output("y", &(&x ^ &count.out().bit(0)));
+    ctx.output("count", &count.out());
+    let design = ctx.finish().unwrap();
+    for lanes in [1, 7, 64] {
+        check_batch_equiv(&design, lanes, 66_000, 3, None);
+    }
 }
