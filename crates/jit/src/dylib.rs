@@ -1,15 +1,25 @@
-//! `dlopen` plumbing for compiled settle engines.
+//! `dlopen` plumbing for compiled cycle engines.
 //!
 //! The loader is raw `libdl` FFI — no external crates — and the loaded
 //! handle lives as long as the [`DylibEngine`], which the simulator holds
 //! behind an `Arc`. The handle is closed on drop, after every clone of
-//! the owning simulator has released it, so the settle function pointer
-//! can never outlive its code.
+//! the owning simulator has released it, so the settle and edge function
+//! pointers can never outlive their code.
+//!
+//! The generated crate is `#![no_std]` and built as one codegen unit, so
+//! an artifact holds the two cycle functions and little else: tens of
+//! kilobytes, where a std-linked `cdylib` weighs megabytes that every
+//! store round-trip would read, checksum and write again. The panic
+//! handler's `abort` would resolve against the host process's libc at
+//! `dlopen` time; no panic path survives optimisation in practice, and
+//! the artifacts import no function at all. Memories cross the ABI as
+//! one pointer to the simulator's flat memory slab; the per-memory
+//! offsets are baked into the code.
 
 use crate::JitError;
 use std::ffi::{c_char, c_int, c_void, CString};
 use std::path::{Path, PathBuf};
-use strober_sim::NativeSettle;
+use strober_sim::NativeEngine;
 
 #[link(name = "dl")]
 extern "C" {
@@ -21,16 +31,8 @@ extern "C" {
 
 const RTLD_NOW: c_int = 2;
 
-/// Mirrors the `#[repr(C)] MemSpan` the generated code declares: one
-/// memory array flattened to a pointer/length pair for the C ABI.
-#[repr(C)]
-#[derive(Clone, Copy)]
-struct MemSpan {
-    ptr: *const u64,
-    len: usize,
-}
-
-type SettleFn = unsafe extern "C" fn(*mut u64, *const u64, *const u64, *const MemSpan);
+type SettleFn = unsafe extern "C" fn(*mut u64, *const u64, *const u64, *const u64);
+type EdgeFn = unsafe extern "C" fn(*const u64, *mut u64, *mut u64);
 type SigFn = unsafe extern "C" fn() -> u64;
 
 /// The last `dlerror` as a string, or a placeholder when libdl reports
@@ -47,22 +49,23 @@ fn last_dl_error() -> String {
     }
 }
 
-/// A native settle engine loaded from a compiled dylib.
+/// A native cycle engine loaded from a compiled dylib.
 ///
-/// Implements [`NativeSettle`]; attach with
+/// Implements [`NativeEngine`]; attach with
 /// [`Simulator::attach_jit`](strober_sim::Simulator::attach_jit), which
-/// verifies [`signature`](NativeSettle::signature) against the tape's
+/// verifies [`signature`](NativeEngine::signature) against the tape's
 /// own generated source first.
 pub struct DylibEngine {
     handle: *mut c_void,
     settle: SettleFn,
+    edge: EdgeFn,
     sig: u64,
     path: PathBuf,
 }
 
-// Safety: the dylib's code section is immutable and the settle function
-// writes only through the pointers passed per call; the raw handle is
-// only used again on drop.
+// Safety: the dylib's code section is immutable and the settle and edge
+// functions write only through the pointers passed per call; the raw
+// handle is only used again on drop.
 unsafe impl Send for DylibEngine {}
 unsafe impl Sync for DylibEngine {}
 
@@ -76,13 +79,20 @@ impl std::fmt::Debug for DylibEngine {
 }
 
 impl DylibEngine {
-    /// Loads a compiled settle dylib and resolves its entry points.
+    /// Loads a compiled cycle dylib and resolves its entry points.
     ///
     /// # Errors
     ///
-    /// [`JitError::Dlopen`] when the file cannot be loaded and
-    /// [`JitError::MissingSymbol`] when it is not a strober-jit dylib.
+    /// [`JitError::Dlopen`] when the file is not a complete ELF object or
+    /// cannot be loaded, and [`JitError::MissingSymbol`] when it is not a
+    /// strober-jit dylib of this codegen revision.
     pub fn load(path: &Path) -> Result<Self, JitError> {
+        if !whole_elf(&std::fs::read(path)?) {
+            return Err(JitError::Dlopen(format!(
+                "{}: not a whole 64-bit ELF object",
+                path.display()
+            )));
+        }
         let c_path = CString::new(path.as_os_str().as_encoded_bytes())
             .map_err(|_| JitError::Dlopen("path contains NUL".to_owned()))?;
         // Safety: plain dlopen of a regular file path.
@@ -103,17 +113,20 @@ impl DylibEngine {
             }
         };
         let settle_sym = lookup("strober_jit_settle")?;
+        let edge_sym = lookup("strober_jit_edge")?;
         let sig_sym = lookup("strober_jit_sig")?;
         // Safety: the symbols were emitted by our own codegen with these
         // exact signatures; transmuting a data pointer to a function
         // pointer is what dlsym requires on every Unix.
         let settle: SettleFn = unsafe { std::mem::transmute(settle_sym) };
+        let edge: EdgeFn = unsafe { std::mem::transmute(edge_sym) };
         let sig_fn: SigFn = unsafe { std::mem::transmute(sig_sym) };
         // Safety: nullary pure function exported by the generated code.
         let sig = unsafe { sig_fn() };
         Ok(DylibEngine {
             handle,
             settle,
+            edge,
             sig,
             path: path.to_path_buf(),
         })
@@ -125,6 +138,49 @@ impl DylibEngine {
     }
 }
 
+/// Whether `bytes` is a whole 64-bit ELF object: every loadable segment
+/// and the section header table lie inside the file.
+///
+/// `dlopen` does not check this itself. It maps segments past the end of
+/// a truncated file and the process faults on first touch, sometimes
+/// inside `dlopen`, sometimes on the first call. A half-written cache
+/// file must end in a recompile, never in a crash.
+fn whole_elf(bytes: &[u8]) -> bool {
+    const PT_LOAD: u64 = 1;
+    if bytes.len() < 64 || bytes[..4] != *b"\x7fELF" || bytes[4] != 2 {
+        return false;
+    }
+    let little = bytes[5] == 1;
+    let field = |at: usize, len: usize| -> Option<u64> {
+        let raw = bytes.get(at..at + len)?;
+        let mut word = [0u8; 8];
+        Some(if little {
+            word[..len].copy_from_slice(raw);
+            u64::from_le_bytes(word)
+        } else {
+            word[8 - len..].copy_from_slice(raw);
+            u64::from_be_bytes(word)
+        })
+    };
+    let len = bytes.len() as u64;
+    let within = |offset: u64, size: u64| offset.checked_add(size).is_some_and(|end| end <= len);
+    let complete = || -> Option<bool> {
+        let (phoff, phentsize, phnum) = (field(0x20, 8)?, field(0x36, 2)?, field(0x38, 2)?);
+        let (shoff, shentsize, shnum) = (field(0x28, 8)?, field(0x3a, 2)?, field(0x3c, 2)?);
+        if !within(phoff, phentsize * phnum) || !within(shoff, shentsize * shnum) {
+            return Some(false);
+        }
+        for i in 0..phnum {
+            let ph = usize::try_from(phoff + i * phentsize).ok()?;
+            if field(ph, 4)? == PT_LOAD && !within(field(ph + 8, 8)?, field(ph + 32, 8)?) {
+                return Some(false);
+            }
+        }
+        Some(true)
+    };
+    complete() == Some(true)
+}
+
 impl Drop for DylibEngine {
     fn drop(&mut self) {
         // Safety: the handle is live and no call can be in flight — the
@@ -133,40 +189,25 @@ impl Drop for DylibEngine {
     }
 }
 
-impl NativeSettle for DylibEngine {
-    fn settle(&self, values: &mut [u64], inputs: &[u64], regs: &[u64], mems: &[Vec<u64>]) {
-        // Flatten memories to C spans on the stack for the common case;
-        // designs with very many memories fall back to a heap vector.
-        let mut stack = [MemSpan {
-            ptr: std::ptr::null(),
-            len: 0,
-        }; 16];
-        let mut heap;
-        let spans: &[MemSpan] = if mems.len() <= stack.len() {
-            for (slot, m) in stack.iter_mut().zip(mems) {
-                slot.ptr = m.as_ptr();
-                slot.len = m.len();
-            }
-            &stack[..mems.len()]
-        } else {
-            heap = Vec::with_capacity(mems.len());
-            heap.extend(mems.iter().map(|m| MemSpan {
-                ptr: m.as_ptr(),
-                len: m.len(),
-            }));
-            &heap
-        };
+impl NativeEngine for DylibEngine {
+    fn settle(&self, values: &mut [u64], inputs: &[u64], regs: &[u64], mem: &[u64]) {
         // Safety: attach-time signature verification proved this code was
-        // generated from the exact tape whose slab we are passing, so
-        // every baked index is in bounds for these slices.
+        // generated from the exact tape whose slabs we are passing, so
+        // every baked index and memory offset is in bounds.
         unsafe {
             (self.settle)(
                 values.as_mut_ptr(),
                 inputs.as_ptr(),
                 regs.as_ptr(),
-                spans.as_ptr(),
+                mem.as_ptr(),
             );
         }
+    }
+
+    fn clock_edge(&self, values: &[u64], regs: &mut [u64], mem: &mut [u64]) {
+        // Safety: as for `settle`; the edge writes only register and
+        // memory words at baked, in-bounds offsets.
+        unsafe { (self.edge)(values.as_ptr(), regs.as_mut_ptr(), mem.as_mut_ptr()) }
     }
 
     fn signature(&self) -> u64 {

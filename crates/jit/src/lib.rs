@@ -1,13 +1,16 @@
-//! Tape-to-native codegen: JIT-compile the hub simulator's settle loop.
+//! Tape-to-native codegen: JIT-compile the hub simulator's whole cycle.
 //!
 //! The optimized op tape is still *interpreted* by
 //! [`strober_sim::Simulator`]: a dispatch loop, bounds checks and slot
-//! indirection on every op, every cycle. This crate removes all three.
-//! [`strober_sim::Simulator::jit_source`] lowers the tape to one
-//! straight-line Rust function of word ops over the flat value slab
-//! (constants, masks and slot indices baked into the instruction
-//! stream); [`JitCompiler`] compiles that source with a cached
-//! `rustc --crate-type cdylib` invocation and `dlopen`s the result; and
+//! indirection on every op, every cycle, then a generic loop over the
+//! register and write-port plans at the clock edge. This crate removes
+//! all of it. [`strober_sim::Simulator::jit_source`] lowers the tape to
+//! a straight-line settle function of word ops over the flat value slab
+//! and the plans to a straight-line clock-edge function (constants,
+//! masks, slot indices and memory offsets baked into the instruction
+//! stream); [`JitCompiler`] compiles that freestanding `#![no_std]`
+//! source with a cached `rustc --crate-type cdylib` invocation (one
+//! codegen unit) and `dlopen`s the result; and
 //! [`Simulator::attach_jit`] plugs it in behind the existing facade —
 //! callers keep poking, peeking and stepping exactly as before.
 //!
@@ -24,10 +27,13 @@
 //!
 //! # Safety and identity
 //!
-//! Every loaded dylib must export `strober_jit_sig`, whose value is
-//! checked against the hash of the source the simulator would generate
-//! for its own tape ([`Simulator::attach_jit`] refuses a mismatch). A
-//! stale or foreign dylib is therefore rejected before its code can run.
+//! Every loaded dylib must be a whole ELF object exporting
+//! `strober_jit_settle`, `strober_jit_edge` and `strober_jit_sig`, whose
+//! value is checked against the hash of the source the simulator would
+//! generate for its own tape ([`Simulator::attach_jit`] refuses a
+//! mismatch). A truncated, stale or foreign dylib is therefore rejected
+//! before its code can run; under a content-addressed cache name it is
+//! recompiled over.
 //! Bit-identity with the interpreted tape is enforced by the golden
 //! suites (`sim/tests/jit_equivalence.rs`, `bench/tests/jit_golden.rs`)
 //! and the fuzz oracle's `tape-jit` lane.
@@ -52,9 +58,9 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-use strober_sim::{JitSource, NativeSettle, Simulator};
+use strober_sim::{JitSource, NativeEngine, Simulator};
 
-/// Errors from compiling or loading a native settle engine.
+/// Errors from compiling or loading a native cycle engine.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum JitError {
@@ -85,15 +91,15 @@ impl std::fmt::Display for JitError {
         match self {
             JitError::NoRustc => write!(f, "no rustc on PATH"),
             JitError::Compile { stderr } => {
-                write!(f, "rustc rejected generated settle source: {stderr}")
+                write!(f, "rustc rejected generated cycle source: {stderr}")
             }
-            JitError::Dlopen(msg) => write!(f, "cannot load settle dylib: {msg}"),
+            JitError::Dlopen(msg) => write!(f, "cannot load jit dylib: {msg}"),
             JitError::MissingSymbol(name) => {
-                write!(f, "settle dylib does not export `{name}`")
+                write!(f, "jit dylib does not export `{name}`")
             }
             JitError::SignatureMismatch { expected, actual } => write!(
                 f,
-                "settle dylib signature {actual:#x} does not match tape source ({expected:#x})"
+                "jit dylib signature {actual:#x} does not match tape source ({expected:#x})"
             ),
             JitError::Io(e) => write!(f, "jit cache i/o error: {e}"),
         }
@@ -161,7 +167,7 @@ pub struct JitOutcome {
     pub sig: u64,
 }
 
-/// A compiled settle dylib plus enough provenance to rebuild the cache
+/// A compiled cycle dylib plus enough provenance to rebuild the cache
 /// entry on another machine: the artifact-store payload for warm-started
 /// codegen. Keyed in the store by design fingerprint + tape options +
 /// rustc version (see `strober-core`).
@@ -177,7 +183,7 @@ pub struct JitArtifact {
     pub compile_ms: u64,
 }
 
-/// Compiles generated settle source to dylibs in a content-addressed
+/// Compiles generated cycle source to dylibs in a content-addressed
 /// file cache and attaches the result to simulators.
 #[derive(Debug, Clone)]
 pub struct JitCompiler {
@@ -216,7 +222,7 @@ impl JitCompiler {
         self.cache_dir.join(format!("strober_jit_{h:016x}.so"))
     }
 
-    /// Compiles (or reuses from the file cache) the native settle engine
+    /// Compiles (or reuses from the file cache) the native cycle engine
     /// for a generated source, without attaching it to anything. The flow
     /// layer uses this to build one engine and share it across every
     /// simulator clone of a run.
@@ -275,7 +281,8 @@ impl JitCompiler {
     }
 
     /// Materializes a store-loaded [`JitArtifact`] into the file cache
-    /// (if not already present) and loads it. Never invokes `rustc`.
+    /// (unless the cache file already holds exactly its bytes) and loads
+    /// it. Never invokes `rustc`.
     ///
     /// # Errors
     ///
@@ -293,7 +300,10 @@ impl JitCompiler {
             });
         }
         let path = self.dylib_path(source, &artifact.rustc);
-        if !path.exists() {
+        // The store checksums its bytes; the cache file has no checksum,
+        // and one flipped bit in its code crashes the run or changes the
+        // estimate. The artifact is tens of kilobytes, so compare it.
+        if std::fs::read(&path).ok().as_deref() != Some(&artifact.dylib[..]) {
             std::fs::create_dir_all(&self.cache_dir)?;
             write_atomic(&path, &artifact.dylib)?;
         }
@@ -307,9 +317,9 @@ impl JitCompiler {
         ))
     }
 
-    /// Compiles (or reuses) the native settle engine for `sim`'s tape and
-    /// attaches it. On success the simulator's `settle` dispatches to
-    /// native code until [`Simulator::detach_jit`] is called.
+    /// Compiles (or reuses) the native cycle engine for `sim`'s tape and
+    /// attaches it. On success the simulator's `settle` and `clock_edge`
+    /// dispatch to native code until [`Simulator::detach_jit`] is called.
     ///
     /// # Errors
     ///
@@ -352,6 +362,11 @@ impl JitCompiler {
             .arg("cdylib")
             .arg("-C")
             .arg("panic=abort")
+            // One unit: several would pull in local ThinLTO, which costs
+            // more compile time than the parallel units save on code
+            // this size.
+            .arg("-C")
+            .arg("codegen-units=1")
             .arg("-o")
             .arg(&tmp)
             .arg(&src_path)

@@ -1,46 +1,76 @@
 //! Tape-to-Rust lowering for the JIT engine.
 //!
-//! Emits the optimized op tape as one straight-line Rust function of word
-//! ops, with every constant, shift, mask and slot index baked into the
-//! instruction stream and no per-op dispatch. Dataflow between ops runs
-//! through SSA locals (so the compiled code keeps it in registers); only
-//! the slots read outside `settle` — outputs, register next/enable slots,
-//! memory write ports — are stored back to the flat value slab the
-//! sequential settle loop in [`crate::tape`] maintains in full. Peeks of
-//! any other slot reroute to the tree-walking recompute, exactly like
-//! slots the optimizer removed. `strober-jit` compiles the emitted source with
-//! `rustc --crate-type cdylib` and `dlopen`s the result; the exported
-//! `strober_jit_settle` symbol has the exact signature of
-//! [`crate::NativeSettle::settle`] flattened to C ABI (memories are
-//! passed as `(ptr, len)` span pairs).
+//! Emits the whole hub cycle as native code: the optimized op tape as
+//! one straight-line settle function of word ops, and the register latch
+//! and memory commit as one straight-line clock-edge function. Every
+//! constant, shift, mask, slot index and memory offset is baked into the
+//! instruction stream and nothing dispatches per op.
+//!
+//! Dataflow between settle ops runs through SSA locals (so the compiled
+//! code keeps it in registers); only the slots read outside `settle` —
+//! outputs, register next/enable slots, memory write ports — are stored
+//! back to the flat value slab the sequential settle loop in
+//! [`crate::tape`] maintains in full. Peeks of any other slot reroute to
+//! the tree-walking recompute, exactly like slots the optimizer removed.
+//! The edge function then reads those stored slots: for each register
+//! plan `if v[en] != 0 { regs[i] = v[next] & mask }` in place, and for
+//! each write port in plan order `if v[en] != 0 && addr < DEPTH {
+//! mem[BASE + addr] = data }`, so a later port still wins an address
+//! clash. All memories live in one flat slab, so both entry points take
+//! a single memory pointer with each memory's base and depth baked in.
+//!
+//! `strober-jit` compiles the emitted source with `rustc --crate-type
+//! cdylib` and `dlopen`s the result; the exported `strober_jit_settle`
+//! and `strober_jit_edge` symbols have the exact signatures of
+//! [`crate::NativeEngine::settle`] and [`crate::NativeEngine::clock_edge`]
+//! flattened to C ABI. The crate is `#![no_std]` with a panic handler
+//! that aborts: the generated code cannot panic by construction, and
+//! without std the artifact is tens of kilobytes instead of megabytes.
 //!
 //! Bit-identity with the interpreted tape is achieved by construction:
 //! every emitted expression is a literal transcription of the matching
-//! arm in the settle loop and of `UnOp::eval`/`BinOp::eval` in
-//! `strober-rtl`, division-by-zero and out-of-range shift/address
-//! semantics included. The golden suites and the fuzz oracle's `tape-jit`
-//! lane hold this invariant under test.
+//! arm in the settle loop, of the clock-edge epilogue and of
+//! `UnOp::eval`/`BinOp::eval` in `strober-rtl`, division-by-zero and
+//! out-of-range shift/address semantics included. The golden suites and
+//! the fuzz oracle's `tape-jit` lane hold this invariant under test.
 //!
 //! The emitted source also exports `strober_jit_sig() -> u64`, an FNV-1a
-//! hash of the settle body. The simulator checks that hash against the
-//! source it would generate for its own tape before attaching a native
-//! engine, so a stale dylib (different design, different optimizer
-//! options, different codegen revision) is rejected instead of silently
-//! producing wrong bits.
+//! hash of the settle and edge bodies. The simulator checks that hash
+//! against the source it would generate for its own tape before
+//! attaching a native engine, so a stale dylib (different design,
+//! different optimizer options, different codegen revision) is rejected
+//! instead of silently producing wrong bits.
 
-use crate::tape::TapeOp;
+use crate::tape::{RegPlan, TapeOp, WritePlan};
 use std::fmt::Write;
 use strober_rtl::{BinOp, UnOp, Width};
 
-/// Generated settle source plus its identity hash.
+/// Generated cycle source plus its identity hash.
 #[derive(Debug, Clone)]
 pub struct JitSource {
-    /// Complete Rust source for a `cdylib` crate exporting
-    /// `strober_jit_settle` and `strober_jit_sig`.
+    /// Complete Rust source for a `#![no_std]` `cdylib` crate exporting
+    /// `strober_jit_settle`, `strober_jit_edge` and `strober_jit_sig`.
     pub source: String,
-    /// FNV-1a hash of the settle body, also returned by the compiled
-    /// dylib's `strober_jit_sig`.
+    /// FNV-1a hash of the settle and edge bodies, also returned by the
+    /// compiled dylib's `strober_jit_sig`.
     pub sig: u64,
+}
+
+/// Everything one hub cycle is lowered from.
+pub(crate) struct Cycle<'a> {
+    /// The optimized op tape.
+    pub(crate) tape: &'a [TapeOp],
+    /// The value slab length.
+    pub(crate) n_values: usize,
+    /// Per-slot "read outside settle" flags (outputs, register
+    /// next/enable, memory ports): only those are stored to the slab.
+    pub(crate) stored: &'a [bool],
+    /// One latch plan per register, in register order.
+    pub(crate) reg_plans: &'a [RegPlan],
+    /// Memory write ports, in commit order.
+    pub(crate) write_plans: &'a [WritePlan],
+    /// Per memory `(base, depth)` in the flat memory slab.
+    pub(crate) mem_layout: &'a [(usize, usize)],
 }
 
 /// FNV-1a over the generated body; must match the dylib-side constant.
@@ -126,35 +156,79 @@ fn bin_expr(op: BinOp, a: &str, b: &str, w: Width) -> String {
     }
 }
 
-/// A bounds-checked memory read: addresses beyond the depth read as zero,
-/// exactly like the interpreted `MemRead` arm.
-fn mem_read(mem: u32, addr_expr: &str) -> String {
+/// A bounds-checked memory read from the flat slab: addresses beyond
+/// the depth read as zero, exactly like the interpreted `MemRead` arm.
+fn mem_read((base, depth): (usize, usize), addr_expr: &str) -> String {
     format!(
-        "{{ let s = &*mems.add({mem}); let a = ({addr_expr}) as usize; \
-         if a < s.len {{ *s.ptr.add(a) }} else {{ 0 }} }}"
+        "{{ let a = ({addr_expr}) as usize; \
+         if a < {depth} {{ *mem.add({base} + a) }} else {{ 0 }} }}"
     )
 }
 
-/// Lowers a tape to the source of a `cdylib` crate exporting the native
-/// settle entry point. `n_values` is the slot slab length; every slot
-/// index the tape references is asserted to lie below it here, which is
-/// what makes the raw-pointer writes in the emitted code sound.
-/// `stored` flags the slots read outside `settle` (outputs, register
-/// next/enable, memory ports): only those are written back to the slab,
-/// everything else lives in SSA locals the whole function.
-pub(crate) fn emit(tape: &[TapeOp], n_values: usize, stored: &[bool]) -> JitSource {
+/// The crate prelude: no std (the code needs nothing from it, and
+/// linking it costs megabytes per artifact), and a panic handler that
+/// aborts instead of unwinding or spinning. No emitted path can panic;
+/// the handler only exists because `core` requires one.
+const PRELUDE: &str = "\
+// Generated by strober-sim codegen; do not edit.
+#![no_std]
+#![allow(unused_variables, unused_parens, unused_comparisons, clippy::all)]
+
+extern \"C\" {
+    fn abort() -> !;
+}
+
+#[panic_handler]
+fn panic(_: &core::panic::PanicInfo) -> ! {
+    unsafe { abort() }
+}
+
+";
+
+/// Lowers one hub cycle to the source of a `#![no_std]` `cdylib` crate
+/// exporting the native settle and clock-edge entry points.
+///
+/// Every slot index the tape and the latch plans reference is asserted
+/// to lie below the slab length, and every memory span to lie inside
+/// the memory slab, which is what makes the raw-pointer accesses in the
+/// emitted code sound. Only `stored` slots are written back to the
+/// value slab; everything else lives in SSA locals the whole settle.
+pub(crate) fn emit(cycle: &Cycle<'_>) -> JitSource {
+    let Cycle {
+        tape,
+        n_values,
+        stored,
+        reg_plans,
+        write_plans,
+        mem_layout,
+    } = *cycle;
     assert_eq!(stored.len(), n_values, "stored mask must cover the slab");
+    let in_slab = |slot: u32| {
+        assert!(
+            (slot as usize) < n_values,
+            "slot {slot} out of range for slab of {n_values}"
+        );
+    };
     let mut reads = Vec::new();
     for op in tape {
         reads.clear();
         crate::partition::operands(op, &mut reads);
         reads.push(crate::partition::dst(op));
-        for &slot in &reads {
-            assert!(
-                (slot as usize) < n_values,
-                "tape slot {slot} out of range for slab of {n_values}"
-            );
-        }
+        reads.iter().copied().for_each(in_slab);
+    }
+    for plan in reg_plans {
+        in_slab(plan.next);
+        plan.enable.into_iter().for_each(in_slab);
+    }
+    for plan in write_plans {
+        [plan.addr, plan.data, plan.enable]
+            .into_iter()
+            .for_each(in_slab);
+    }
+    let mut mem_words = 0;
+    for &(base, depth) in mem_layout {
+        assert_eq!(base, mem_words, "memories must be packed back to back");
+        mem_words += depth;
     }
     // Every op binds an SSA local (`t<slot>`, shadowed on slot reuse);
     // only externally observed slots are also stored to the slab. The
@@ -191,7 +265,9 @@ pub(crate) fn emit(tape: &[TapeOp], n_values: usize, stored: &[bool]) -> JitSour
                 format!("({} << {shift}) | {}", r(hi, d), r(lo, d)),
             ),
             TapeOp::RegOut { dst, reg } => (dst, format!("*regs.add({reg})")),
-            TapeOp::MemRead { dst, mem, addr } => (dst, mem_read(mem, &r(addr, d))),
+            TapeOp::MemRead { dst, mem, addr } => {
+                (dst, mem_read(mem_layout[mem as usize], &r(addr, d)))
+            }
             TapeOp::Wire { dst, src } => (dst, r(src, d)),
             TapeOp::SliceBin {
                 dst,
@@ -262,44 +338,85 @@ pub(crate) fn emit(tape: &[TapeOp], n_values: usize, stored: &[bool]) -> JitSour
         defined[dst as usize] = true;
     }
 
-    // The hash covers the settle body plus the slab length, so two tapes
-    // that happen to emit the same ops over different slab sizes (never
-    // expected, but cheap to defend against) still get distinct ids.
+    let edge = emit_edge(reg_plans, write_plans, mem_layout);
+
+    // The hash covers both bodies plus the slab shapes, so two cycles
+    // that happen to emit the same code over differently sized slabs
+    // (never expected, but cheap to defend against) still get distinct
+    // ids.
     let mut hashed = body.clone();
-    let _ = write!(hashed, "n_values={n_values}");
+    hashed.push_str(&edge);
+    let _ = write!(
+        hashed,
+        "n_values={n_values};n_regs={};mem_words={mem_words}",
+        reg_plans.len()
+    );
     let sig = fnv1a(hashed.as_bytes());
 
-    let mut source = String::with_capacity(body.len() + 1024);
+    let mut source = String::with_capacity(body.len() + edge.len() + 2048);
+    source.push_str(PRELUDE);
     source.push_str(
-        "// Generated by strober-sim codegen; do not edit.\n\
-         #![allow(unused_variables, unused_parens, clippy::all)]\n\
-         \n\
-         /// One memory array, passed as a raw span across the C ABI.\n\
-         #[repr(C)]\n\
-         pub struct MemSpan {\n\
-         \x20   pub ptr: *const u64,\n\
-         \x20   pub len: usize,\n\
-         }\n\
-         \n\
-         /// # Safety\n\
+        "/// # Safety\n\
          /// `v` must point at the value slab this tape was compiled for\n\
          /// (length checked via `strober_jit_sig` at attach time); `inp`,\n\
-         /// `regs` and `mems` must match the design's port/register/memory\n\
-         /// counts.\n\
+         /// `regs` and `mem` must match the design's port count, register\n\
+         /// count and memory slab.\n\
          #[no_mangle]\n\
          pub unsafe extern \"C\" fn strober_jit_settle(\n\
          \x20   v: *mut u64,\n\
          \x20   inp: *const u64,\n\
          \x20   regs: *const u64,\n\
-         \x20   mems: *const MemSpan,\n\
+         \x20   mem: *const u64,\n\
          ) {\n",
     );
     source.push_str(&body);
+    source.push_str(
+        "}\n\n\
+         /// # Safety\n\
+         /// As for `strober_jit_settle`, with `v` settled.\n\
+         #[no_mangle]\n\
+         pub unsafe extern \"C\" fn strober_jit_edge(v: *const u64, regs: *mut u64, mem: *mut u64) {\n",
+    );
+    source.push_str(&edge);
     source.push_str("}\n\n#[no_mangle]\npub extern \"C\" fn strober_jit_sig() -> u64 {\n");
     let _ = writeln!(source, "    {sig:#x}");
     source.push_str("}\n");
 
     JitSource { source, sig }
+}
+
+/// The clock-edge body, unrolled in plan order: enabled registers latch
+/// their masked next-value in place (a plan without an enable always
+/// latches), then enabled in-range write ports commit, later ports
+/// overwriting earlier ones.
+fn emit_edge(
+    reg_plans: &[RegPlan],
+    write_plans: &[WritePlan],
+    mem_layout: &[(usize, usize)],
+) -> String {
+    let mut edge = String::new();
+    for (i, plan) in reg_plans.iter().enumerate() {
+        let latch = format!("*regs.add({i}) = {} & {:#x};", v(plan.next), plan.mask);
+        match plan.enable {
+            Some(en) => {
+                let _ = writeln!(edge, "    if {} != 0 {{ {latch} }}", v(en));
+            }
+            None => {
+                let _ = writeln!(edge, "    {latch}");
+            }
+        }
+    }
+    for plan in write_plans {
+        let (base, depth) = mem_layout[plan.mem as usize];
+        let _ = writeln!(
+            edge,
+            "    if {} != 0 {{ let a = {} as usize; if a < {depth} {{ *mem.add({base} + a) = {}; }} }}",
+            v(plan.enable),
+            v(plan.addr),
+            v(plan.data)
+        );
+    }
+    edge
 }
 
 #[cfg(test)]
@@ -328,6 +445,18 @@ mod tests {
         assert!(bin_expr(BinOp::Sra, "x", "y", w8).contains(".min(7)"));
     }
 
+    /// A settle-only cycle: no registers, no memories.
+    fn settle_only(tape: &[TapeOp], n_values: usize, stored: &[bool]) -> JitSource {
+        emit(&Cycle {
+            tape,
+            n_values,
+            stored,
+            reg_plans: &[],
+            write_plans: &[],
+            mem_layout: &[],
+        })
+    }
+
     #[test]
     fn emitted_source_exports_entry_points_and_stable_sig() {
         let tape = vec![
@@ -341,19 +470,82 @@ mod tests {
             },
         ];
         let all = [true; 3];
-        let one = emit(&tape, 3, &all);
-        let two = emit(&tape, 3, &all);
+        let one = settle_only(&tape, 3, &all);
+        let two = settle_only(&tape, 3, &all);
         assert_eq!(one.sig, two.sig, "emission must be deterministic");
         assert!(one.source.contains("strober_jit_settle"));
+        assert!(one.source.contains("strober_jit_edge"));
         assert!(one.source.contains("strober_jit_sig"));
         assert!(one.source.contains(&format!("{:#x}", one.sig)));
         // Different slab length => different identity.
-        assert_ne!(emit(&tape, 4, &[true; 4]).sig, one.sig);
+        assert_ne!(settle_only(&tape, 4, &[true; 4]).sig, one.sig);
         // A different stored-slot set changes the emitted body, hence
         // the identity: consumers must never attach across the two.
-        assert_ne!(emit(&tape, 3, &[true, true, false]).sig, one.sig);
+        assert_ne!(settle_only(&tape, 3, &[true, true, false]).sig, one.sig);
     }
 
+    #[test]
+    fn edge_latches_in_place_and_commits_in_plan_order() {
+        let regs = [
+            RegPlan {
+                next: 1,
+                enable: Some(2),
+                mask: 0xf,
+            },
+            RegPlan {
+                next: 3,
+                enable: None,
+                mask: 0xff,
+            },
+        ];
+        let ports = [
+            WritePlan {
+                mem: 1,
+                addr: 1,
+                data: 3,
+                enable: 2,
+            },
+            WritePlan {
+                mem: 1,
+                addr: 1,
+                data: 0,
+                enable: 2,
+            },
+        ];
+        let layout = [(0, 4), (4, 5)];
+        let cycle = Cycle {
+            tape: &[],
+            n_values: 4,
+            stored: &[true; 4],
+            reg_plans: &regs,
+            write_plans: &ports,
+            mem_layout: &layout,
+        };
+        let src = emit(&cycle).source;
+        assert!(src.contains("if *v.add(2) != 0 { *regs.add(0) = *v.add(1) & 0xf; }"));
+        assert!(src.contains("    *regs.add(1) = *v.add(3) & 0xff;"));
+        // Memory 1's base and (non-power-of-two) depth are baked in.
+        let first = src
+            .find("if a < 5 { *mem.add(4 + a) = *v.add(3); }")
+            .expect("first port");
+        let second = src
+            .find("if a < 5 { *mem.add(4 + a) = *v.add(0); }")
+            .expect("second port");
+        assert!(first < second, "ports must commit in plan order");
+        // The edge body is part of the identity.
+        let narrower = [
+            regs[0],
+            RegPlan {
+                mask: 0x7f,
+                ..regs[1]
+            },
+        ];
+        let other = emit(&Cycle {
+            reg_plans: &narrower,
+            ..cycle
+        });
+        assert_ne!(other.sig, emit(&cycle).sig);
+    }
     #[test]
     fn unstored_slots_keep_locals_only() {
         let tape = vec![
@@ -366,7 +558,7 @@ mod tests {
                 w: w(8),
             },
         ];
-        let src = emit(&tape, 3, &[false, false, true]).source;
+        let src = settle_only(&tape, 3, &[false, false, true]).source;
         // Slot 1 is internal: a local binding but no slab store.
         assert!(src.contains("let t1 ="));
         assert!(!src.contains("*v.add(1) = t1"));

@@ -2,14 +2,14 @@
 //!
 //! All engines in this crate — the tree-walking [`NaiveInterpreter`],
 //! the sequential compiled tape, the partitioned multi-threaded settle
-//! and the JIT-compiled native settle — implement identical semantics:
+//! and the JIT-compiled native cycle — implement identical semantics:
 //! combinational *settle*, then *clock edge* (registers capture, memory
 //! writes commit). The [`Engine`] trait makes that implicit contract
 //! explicit so callers can select an engine dynamically and benchmark
-//! rows can be labeled by variant, and [`NativeSettle`] is the narrow
+//! rows can be labeled by variant, and [`NativeEngine`] is the narrow
 //! plug-in point through which `strober-jit` swaps the interpreted
-//! settle loop for a `dlopen`ed native function without the `Simulator`
-//! facade changing shape.
+//! settle loop and clock-edge epilogue for `dlopen`ed native functions
+//! without the `Simulator` facade changing shape.
 //!
 //! [`NaiveInterpreter`]: crate::NaiveInterpreter
 
@@ -57,26 +57,35 @@ pub trait Engine {
     fn engine_name(&self) -> &'static str;
 }
 
-/// A native (JIT-compiled) replacement for the tape settle loop.
+/// A native (JIT-compiled) replacement for the tape's whole cycle:
+/// combinational settle and clock edge.
 ///
 /// Implementations evaluate exactly the same op tape the sequential
-/// interpreter would walk, writing every slot of `values`. The contract
-/// mirrors the partitioned engine's settle entry point: `values` is the
-/// dense slot slab, `inputs` the per-port input latches, `regs` the
-/// current register file and `mems` the memory arrays. The callee must
-/// not retain pointers past the call.
+/// interpreter would walk and latch exactly the same register and
+/// write-port plans. `values` is the dense slot slab, `inputs` the
+/// per-port input latches, `regs` the register file and `mem` the flat
+/// memory slab (every memory back to back, at the base offsets baked
+/// into the generated code). The callee must not retain pointers past
+/// the call.
 ///
 /// Bit-identity with the interpreted tape is non-negotiable and is
-/// enforced at attach time by [`NativeSettle::signature`]: the simulator
+/// enforced at attach time by [`NativeEngine::signature`]: the simulator
 /// refuses an engine whose signature does not match the FNV-1a hash of
-/// the settle source it would generate for its own tape (see
+/// the source it would generate for its own tape (see
 /// `Simulator::attach_jit`), which rejects stale dylibs compiled for a
 /// different design or optimizer configuration.
-pub trait NativeSettle: Send + Sync + std::fmt::Debug {
-    /// Evaluates the combinational tape into `values`.
-    fn settle(&self, values: &mut [u64], inputs: &[u64], regs: &[u64], mems: &[Vec<u64>]);
+pub trait NativeEngine: Send + Sync + std::fmt::Debug {
+    /// Evaluates the combinational tape into `values`, storing every slot
+    /// read outside settle.
+    fn settle(&self, values: &mut [u64], inputs: &[u64], regs: &[u64], mem: &[u64]);
 
-    /// The FNV-1a hash of the generated settle source this engine was
-    /// compiled from, used to verify design/tape identity at attach time.
+    /// The synchronous half of a cycle over a settled `values` slab:
+    /// enabled registers latch their masked next-values in place, then
+    /// enabled in-range write ports commit in plan order (a later port
+    /// wins on an address clash).
+    fn clock_edge(&self, values: &[u64], regs: &mut [u64], mem: &mut [u64]);
+
+    /// The FNV-1a hash of the generated source this engine was compiled
+    /// from, used to verify design/tape identity at attach time.
     fn signature(&self) -> u64;
 }

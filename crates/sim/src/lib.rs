@@ -22,12 +22,12 @@
 //!   cross-partition edges) and executed on a persistent worker pool with
 //!   phase barriers, bit-identical to the sequential walk. See
 //!   [`PartitionStats`] and DESIGN.md §14.
-//! * [`Simulator::attach_jit`] replaces the settle loop with native code
-//!   compiled from the tape by `strober-jit`: [`Simulator::jit_source`]
-//!   lowers the tape to one straight-line Rust function (constants,
-//!   masks and slot indices baked in, no per-op dispatch), and any
-//!   [`NativeSettle`] whose signature matches can be plugged in. See
-//!   DESIGN.md §16.
+//! * [`Simulator::attach_jit`] replaces the settle loop and the clock
+//!   edge with native code compiled from the tape by `strober-jit`:
+//!   [`Simulator::jit_source`] lowers the tape to straight-line Rust
+//!   functions (constants, masks, slot indices and memory offsets baked
+//!   in, no per-op dispatch), and any [`NativeEngine`] whose signature
+//!   matches can be plugged in. See DESIGN.md §16.
 //! * [`NaiveInterpreter`] — a deliberately simple tree-walking reference
 //!   engine, used for differential testing and as the slow baseline in the
 //!   ablation benchmarks.
@@ -82,7 +82,7 @@ mod tape;
 mod vcd;
 
 pub use codegen::JitSource;
-pub use engine::{Engine, NativeSettle};
+pub use engine::{Engine, NativeEngine};
 pub use error::SimError;
 pub use interp::NaiveInterpreter;
 pub use opt::{PassStats, TapeOptions};

@@ -36,7 +36,7 @@
 //!
 //! [`Engine`] pins `N - 1` persistent worker threads (the caller's thread
 //! is worker 0). Each settle publishes raw pointers to the simulator's
-//! `values`/`inputs`/`regs`/`mems` arrays under a mutex, bumps an epoch,
+//! `values`/`inputs`/`regs`/`mem` arrays under a mutex, bumps an epoch,
 //! and all workers sweep their per-phase chunks with a spin-then-yield
 //! barrier between phases. Register capture and memory-write commit stay
 //! on the caller's thread after the final barrier — state only changes at
@@ -45,7 +45,7 @@
 //! Safety rests on three invariants, each enforced by construction:
 //! every tape op writes a distinct `values` slot (disjoint writes); an
 //! op's operand slots are written in an earlier phase or earlier in the
-//! same worker's chunk (ordered reads); and `inputs`/`regs`/`mems` are
+//! same worker's chunk (ordered reads); and `inputs`/`regs`/`mem` are
 //! frozen for the duration of a settle (shared reads).
 
 use crate::tape::TapeOp;
@@ -338,7 +338,9 @@ struct Ctx {
     values: *mut u64,
     inputs: *const u64,
     regs: *const u64,
-    mems: *const Vec<u64>,
+    /// The flat memory slab and its per-memory `(base, depth)` layout.
+    mem: *const u64,
+    mem_layout: *const (usize, usize),
     /// Whether workers should time busy/wait intervals this settle.
     timed: bool,
 }
@@ -349,7 +351,8 @@ impl Ctx {
             values: std::ptr::null_mut(),
             inputs: std::ptr::null(),
             regs: std::ptr::null(),
-            mems: std::ptr::null(),
+            mem: std::ptr::null(),
+            mem_layout: std::ptr::null(),
             timed: false,
         }
     }
@@ -385,9 +388,9 @@ unsafe fn exec(op: &TapeOp, ctx: &Ctx) {
         TapeOp::Cat { dst, hi, lo, shift } => val!(dst) = (val!(hi) << shift) | val!(lo),
         TapeOp::RegOut { dst, reg } => val!(dst) = *ctx.regs.add(reg as usize),
         TapeOp::MemRead { dst, mem, addr } => {
-            let m = &*ctx.mems.add(mem as usize);
+            let (base, depth) = *ctx.mem_layout.add(mem as usize);
             let a = val!(addr) as usize;
-            val!(dst) = m.get(a).copied().unwrap_or(0);
+            val!(dst) = if a < depth { *ctx.mem.add(base + a) } else { 0 };
         }
         TapeOp::Wire { dst, src } => val!(dst) = val!(src),
         TapeOp::SliceBin {
@@ -639,7 +642,8 @@ impl Engine {
         values: &mut [u64],
         inputs: &[u64],
         regs: &[u64],
-        mems: &[Vec<u64>],
+        mem: &[u64],
+        mem_layout: &[(usize, usize)],
     ) {
         if self.shared.phases == 0 {
             return;
@@ -649,7 +653,8 @@ impl Engine {
             values: values.as_mut_ptr(),
             inputs: inputs.as_ptr(),
             regs: regs.as_ptr(),
-            mems: mems.as_ptr(),
+            mem: mem.as_ptr(),
+            mem_layout: mem_layout.as_ptr(),
             timed,
         };
         {

@@ -14,16 +14,21 @@
 //!
 //! # Execution
 //!
-//! Each [`Simulator::step`] settles the combinational tape, captures
-//! register next-values, commits memory writes and advances the clock.
-//! `settle` runs sequentially by default; after
+//! Each [`Simulator::step`] settles the combinational tape, latches
+//! register next-values in place, commits memory writes and advances the
+//! clock. `settle` runs sequentially by default; after
 //! [`Simulator::set_threads`] with `threads > 1` it dispatches to the
 //! partitioned parallel engine instead, which is bit-identical by
 //! construction (the sequential state-update epilogue in `step` is
-//! shared by both paths).
+//! shared by both paths). An attached native engine runs both halves of
+//! the cycle as generated code over the same slabs.
+//!
+//! All memories live in one flat slab: memory `i` occupies
+//! `mem[base..base + depth]` for its `(base, depth)` entry in the layout,
+//! so the native entry points take one pointer for every memory.
 
 use crate::codegen::JitSource;
-use crate::engine::{Engine, NativeSettle};
+use crate::engine::{Engine, NativeEngine};
 use crate::error::SimError;
 use crate::opt::{PassStats, TapeOptions};
 use crate::partition::{self, PartitionStats};
@@ -193,8 +198,10 @@ pub struct Simulator {
     values: Vec<u64>,
     node_slot: Vec<u32>,
     regs: Vec<u64>,
-    reg_next: Vec<u64>,
-    mems: Vec<Vec<u64>>,
+    /// Every memory's words back to back (see `mem_words`).
+    mem: Vec<u64>,
+    /// Per memory `(base, depth)` into `mem`, in declaration order.
+    mem_layout: Vec<(usize, usize)>,
     inputs: Vec<u64>,
     cycle: u64,
     dirty: bool,
@@ -206,11 +213,12 @@ pub struct Simulator {
     /// Lazily built partitioned engine, present only while `threads > 1`.
     /// Never cloned: each clone rebuilds its own worker pool on first use.
     engine: Option<Box<partition::Engine>>,
-    /// Native settle engine attached by `strober-jit`, taking priority
-    /// over both the sequential walk and the partitioned engine. Shared
-    /// across clones: the compiled code is immutable and thread-safe, so
-    /// unlike the partitioned worker pool it travels with the clone.
-    jit: Option<Arc<dyn NativeSettle>>,
+    /// Native cycle engine attached by `strober-jit`, taking priority
+    /// over both the sequential walk and the partitioned engine for
+    /// settle and clock edge. Shared across clones: the compiled code is
+    /// immutable and thread-safe, so unlike the partitioned worker pool
+    /// it travels with the clone.
+    jit: Option<Arc<dyn NativeEngine>>,
     /// Per-slot "the native engine materializes this slot" mask, present
     /// while a JIT engine is attached. The generated code keeps internal
     /// temporaries in locals and stores only externally observed slots
@@ -229,8 +237,8 @@ impl Clone for Simulator {
             values: self.values.clone(),
             node_slot: self.node_slot.clone(),
             regs: self.regs.clone(),
-            reg_next: self.reg_next.clone(),
-            mems: self.mems.clone(),
+            mem: self.mem.clone(),
+            mem_layout: self.mem_layout.clone(),
             inputs: self.inputs.clone(),
             cycle: self.cycle,
             dirty: self.dirty,
@@ -283,12 +291,13 @@ impl Simulator {
         }
 
         let regs: Vec<u64> = design.registers().map(|(_, r)| r.init()).collect();
-        let mems: Vec<Vec<u64>> = design
+        let mut base = 0;
+        let mem_layout: Vec<(usize, usize)> = design
             .memories()
             .map(|(_, m)| {
-                let mut v = m.init().to_vec();
-                v.resize(m.depth(), 0);
-                v
+                let span = (base, m.depth());
+                base += m.depth();
+                span
             })
             .collect();
 
@@ -303,9 +312,8 @@ impl Simulator {
             .map(|p| (p.name().to_owned(), (p.id().index() as u32, p.width())))
             .collect();
 
-        let reg_next = regs.clone();
         let n_inputs = design.ports().len();
-        Ok(Simulator {
+        let mut sim = Simulator {
             design: Arc::new(design.clone()),
             tape: plan.tape,
             reg_plans: plan.reg_plans,
@@ -313,8 +321,8 @@ impl Simulator {
             values: plan.values,
             node_slot: plan.node_slot,
             regs,
-            reg_next,
-            mems,
+            mem: vec![0; base],
+            mem_layout,
             inputs: vec![0; n_inputs],
             cycle: 0,
             dirty: true,
@@ -325,7 +333,20 @@ impl Simulator {
             engine: None,
             jit: None,
             jit_stored: None,
-        })
+        };
+        sim.load_mem_inits();
+        Ok(sim)
+    }
+
+    /// Overwrites every memory with its declared initial contents,
+    /// zero-padded to the depth.
+    fn load_mem_inits(&mut self) {
+        for ((_, m), &(base, depth)) in self.design.memories().zip(&self.mem_layout) {
+            let words = &mut self.mem[base..base + depth];
+            let init = &m.init()[..m.init().len().min(depth)];
+            words[..init.len()].copy_from_slice(init);
+            words[init.len()..].fill(0);
+        }
     }
 
     /// Selects the settle engine: `1` (the default) keeps the sequential
@@ -461,12 +482,12 @@ impl Simulator {
         Ok(())
     }
 
-    /// Attaches a native settle engine (see [`NativeSettle`]), after
+    /// Attaches a native cycle engine (see [`NativeEngine`]), after
     /// verifying that its signature matches the source this simulator's
-    /// own tape generates. From then on `settle` calls into the native
-    /// code instead of walking the tape; register capture and memory
-    /// commit stay on the interpreted epilogue, so results are
-    /// bit-identical by the same argument as the partitioned engine.
+    /// own tape generates. From then on `settle` and `clock_edge` call
+    /// into the native code instead of walking the tape and the latch
+    /// plans; the generated code transcribes both, so results are
+    /// bit-identical.
     ///
     /// The engine is shared by reference across [`Clone`]s.
     ///
@@ -475,7 +496,7 @@ impl Simulator {
     /// Returns [`SimError::EngineSignatureMismatch`] when the engine was
     /// compiled from a different tape (stale dylib, different design or
     /// optimizer options).
-    pub fn attach_jit(&mut self, engine: Arc<dyn NativeSettle>) -> Result<(), SimError> {
+    pub fn attach_jit(&mut self, engine: Arc<dyn NativeEngine>) -> Result<(), SimError> {
         let expected = self.jit_source().sig;
         let actual = engine.signature();
         if actual != expected {
@@ -487,8 +508,8 @@ impl Simulator {
         Ok(())
     }
 
-    /// Drops any attached native settle engine, reverting to the
-    /// interpreted tape walk (sequential or partitioned per
+    /// Drops any attached native engine, reverting to the interpreted
+    /// tape walk and epilogue (sequential or partitioned per
     /// [`set_threads`](Simulator::set_threads)). Marks the simulator
     /// dirty so the next settle rebuilds the full value slab — the
     /// native engine only materializes observed slots.
@@ -538,12 +559,19 @@ impl Simulator {
         self.jit.is_some()
     }
 
-    /// Generates the Rust source of this tape's native settle function
-    /// (see [`crate::JitSource`]). `strober-jit` compiles this to a
-    /// `cdylib` and attaches the result via
+    /// Generates the Rust source of this tape's native settle and clock
+    /// edge functions (see [`crate::JitSource`]). `strober-jit` compiles
+    /// this to a `cdylib` and attaches the result via
     /// [`attach_jit`](Simulator::attach_jit).
     pub fn jit_source(&self) -> JitSource {
-        crate::codegen::emit(&self.tape, self.values.len(), &self.stored_slots())
+        crate::codegen::emit(&crate::codegen::Cycle {
+            tape: &self.tape,
+            n_values: self.values.len(),
+            stored: &self.stored_slots(),
+            reg_plans: &self.reg_plans,
+            write_plans: &self.write_plans,
+            mem_layout: &self.mem_layout,
+        })
     }
 
     /// The label of the settle engine currently in effect, as used for
@@ -570,14 +598,20 @@ impl Simulator {
             return;
         }
         if let Some(jit) = &self.jit {
-            jit.settle(&mut self.values, &self.inputs, &self.regs, &self.mems);
+            jit.settle(&mut self.values, &self.inputs, &self.regs, &self.mem);
             self.dirty = false;
             return;
         }
         if self.threads > 1 && !self.tape.is_empty() {
             self.ensure_engine();
             let engine = self.engine.as_ref().expect("just built");
-            engine.settle(&mut self.values, &self.inputs, &self.regs, &self.mems);
+            engine.settle(
+                &mut self.values,
+                &self.inputs,
+                &self.regs,
+                &self.mem,
+                &self.mem_layout,
+            );
             self.dirty = false;
             return;
         }
@@ -612,11 +646,11 @@ impl Simulator {
                 }
                 TapeOp::RegOut { dst, reg } => self.values[dst as usize] = self.regs[reg as usize],
                 TapeOp::MemRead { dst, mem, addr } => {
-                    let m = &self.mems[mem as usize];
+                    let (base, depth) = self.mem_layout[mem as usize];
                     let a = self.values[addr as usize] as usize;
                     // Addresses beyond the depth read as zero (the synthesis
                     // flow pads memories to powers of two the same way).
-                    self.values[dst as usize] = m.get(a).copied().unwrap_or(0);
+                    self.values[dst as usize] = if a < depth { self.mem[base + a] } else { 0 };
                 }
                 TapeOp::Wire { dst, src } => self.values[dst as usize] = self.values[src as usize],
                 TapeOp::SliceBin {
@@ -701,29 +735,34 @@ impl Simulator {
     /// The synchronous half of a cycle: registers capture their next
     /// values, memory writes commit, the cycle counter increments.
     /// Settles first if needed, so calling this alone is a full
-    /// [`step`](Simulator::step). This epilogue is sequential and shared
-    /// by every settle engine, which is what makes them bit-identical.
+    /// [`step`](Simulator::step).
+    ///
+    /// Registers latch in place: next-values come from the settled value
+    /// slab, never from `regs`, so no latch can observe another. Write
+    /// ports commit in plan order, so a later port wins an address
+    /// clash. An attached native engine runs generated code for exactly
+    /// these two loops; the sequential and partitioned engines share the
+    /// loops below.
     pub fn clock_edge(&mut self) {
         self.settle();
-        for (i, plan) in self.reg_plans.iter().enumerate() {
-            let en = plan.enable.is_none_or(|e| self.values[e as usize] != 0);
-            self.reg_next[i] = if en {
-                self.values[plan.next as usize] & plan.mask
-            } else {
-                self.regs[i]
-            };
-        }
-        for plan in &self.write_plans {
-            if self.values[plan.enable as usize] != 0 {
-                let addr = self.values[plan.addr as usize] as usize;
-                let data = self.values[plan.data as usize];
-                let mem = &mut self.mems[plan.mem as usize];
-                if let Some(slot) = mem.get_mut(addr) {
-                    *slot = data;
+        if let Some(jit) = &self.jit {
+            jit.clock_edge(&self.values, &mut self.regs, &mut self.mem);
+        } else {
+            for (reg, plan) in self.regs.iter_mut().zip(&self.reg_plans) {
+                if plan.enable.is_none_or(|e| self.values[e as usize] != 0) {
+                    *reg = self.values[plan.next as usize] & plan.mask;
+                }
+            }
+            for plan in &self.write_plans {
+                if self.values[plan.enable as usize] != 0 {
+                    let addr = self.values[plan.addr as usize] as usize;
+                    let (base, depth) = self.mem_layout[plan.mem as usize];
+                    if addr < depth {
+                        self.mem[base + addr] = self.values[plan.data as usize];
+                    }
                 }
             }
         }
-        std::mem::swap(&mut self.regs, &mut self.reg_next);
         self.cycle += 1;
         self.dirty = true;
     }
@@ -803,7 +842,7 @@ impl Simulator {
             Node::MemRead { mem, port } => {
                 let addr_node = self.design.memory(mem).read_ports()[port].addr();
                 let addr = self.peek_slow(addr_node, memo) as usize;
-                self.mems[mem.index()].get(addr).copied().unwrap_or(0)
+                self.mem_words(mem).get(addr).copied().unwrap_or(0)
             }
             Node::Wire(wid) => {
                 let src = self.design.wire_driver(wid).expect("validated");
@@ -859,13 +898,19 @@ impl Simulator {
         self.dirty = true;
     }
 
+    /// One memory's words, in address order.
+    fn mem_words(&self, mem: MemId) -> &[u64] {
+        let (base, depth) = self.mem_layout[mem.index()];
+        &self.mem[base..base + depth]
+    }
+
     /// Reads one memory word.
     ///
     /// # Panics
     ///
     /// Panics if `addr` is out of range for the memory.
     pub fn mem_value(&self, mem: MemId, addr: usize) -> u64 {
-        self.mems[mem.index()][addr]
+        self.mem_words(mem)[addr]
     }
 
     /// Overwrites one memory word (used when loading snapshots and
@@ -876,7 +921,12 @@ impl Simulator {
     /// Panics if `addr` is out of range for the memory.
     pub fn set_mem_value(&mut self, mem: MemId, addr: usize, value: u64) {
         let mask = self.design.memory(mem).width().mask();
-        self.mems[mem.index()][addr] = value & mask;
+        let (base, depth) = self.mem_layout[mem.index()];
+        assert!(
+            addr < depth,
+            "address {addr} out of range for memory of depth {depth}"
+        );
+        self.mem[base + addr] = value & mask;
         self.dirty = true;
     }
 
@@ -884,7 +934,11 @@ impl Simulator {
     pub fn state(&self) -> SimState {
         SimState {
             regs: self.regs.clone(),
-            mems: self.mems.clone(),
+            mems: self
+                .mem_layout
+                .iter()
+                .map(|&(base, depth)| self.mem[base..base + depth].to_vec())
+                .collect(),
             cycle: self.cycle,
         }
     }
@@ -901,19 +955,21 @@ impl Simulator {
                 what: "register count",
             });
         }
-        if state.mems.len() != self.mems.len()
+        if state.mems.len() != self.mem_layout.len()
             || state
                 .mems
                 .iter()
-                .zip(&self.mems)
-                .any(|(a, b)| a.len() != b.len())
+                .zip(&self.mem_layout)
+                .any(|(words, &(_, depth))| words.len() != depth)
         {
             return Err(SimError::StateShapeMismatch {
                 what: "memory shapes",
             });
         }
         self.regs.clone_from(&state.regs);
-        self.mems.clone_from(&state.mems);
+        for (words, &(base, depth)) in state.mems.iter().zip(&self.mem_layout) {
+            self.mem[base..base + depth].copy_from_slice(words);
+        }
         self.cycle = state.cycle;
         self.dirty = true;
         Ok(())
@@ -925,17 +981,7 @@ impl Simulator {
         for (i, (_, r)) in self.design.registers().enumerate() {
             self.regs[i] = r.init();
         }
-        let inits: Vec<(usize, Vec<u64>, usize)> = self
-            .design
-            .memories()
-            .enumerate()
-            .map(|(i, (_, m))| (i, m.init().to_vec(), m.depth()))
-            .collect();
-        for (i, init, depth) in inits {
-            let mut v = init;
-            v.resize(depth, 0);
-            self.mems[i] = v;
-        }
+        self.load_mem_inits();
         self.cycle = 0;
         self.dirty = true;
     }
